@@ -12,7 +12,6 @@ Identical arguments, files, and seeds produce byte-identical output; the
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
@@ -21,6 +20,7 @@ from .coherence import (
     DEFAULT_TOL_CLASSIFY,
     ConvergenceRow,
     FrequencyGrid,
+    _fmt,
     convergence_study,
     evaluate_point,
     report_csv_header,
@@ -125,13 +125,6 @@ def _build_grid(args) -> FrequencyGrid:
     return FrequencyGrid.linear(
         args.sigma, args.omega_min, args.omega_max, args.points
     )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    return repr(value) if math.isfinite(value) else str(value)
 
 
 def _convergence_csv(rows: list[ConvergenceRow]) -> str:

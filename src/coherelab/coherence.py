@@ -21,16 +21,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from ._parallel import map_ordered
 from .errors import NumericalError, ValidationError, IllConditionedWarning, GridRefinementWarning
-from .network import LaplacianMatrix, algebraic_connectivity, grounded, scale_connectivity
+from .network import LaplacianMatrix, algebraic_connectivity
 from .rational import (
     AT_INFINITY,
+    ExcessiveDegree,
     ExtComplex,
     IndeterminateAt,
     Properness,
@@ -44,7 +45,6 @@ from .rational import (
     tf_eval,
     zeros,
 )
-from .rational import ExcessiveDegree, _poly_envelope  # reuse the evaluation envelope
 
 import warnings
 
@@ -185,24 +185,6 @@ class DegenerateGamma(NumericalError):
 # ---------------------------------------------------------------------------
 
 
-def _inverse_value(g: RationalTF, s: complex, tol_zero: float) -> ExtComplex:
-    """Evaluate 1/g at ``s`` with envelope-based zero detection."""
-    num_val = npoly.polyval(s, g.num.coeffs)
-    den_val = npoly.polyval(s, g.den.coeffs)
-    r = abs(s)
-    num_env = _poly_envelope(g.num.coeffs, r)
-    den_env = _poly_envelope(g.den.coeffs, r)
-    num_small = abs(num_val) <= tol_zero * max(num_env, 1e-300)
-    den_small = abs(den_val) <= tol_zero * max(den_env, 1e-300)
-    if num_small and den_small:
-        raise IndeterminateAt(s)
-    if num_small:
-        return AT_INFINITY
-    if den_small:
-        return 0j
-    return complex(den_val) / complex(num_val)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Structural validation of a network model.
@@ -238,6 +220,14 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
+def _padded(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
+    out = np.zeros((len(rows), width))
+    for i, coeffs in enumerate(rows):
+        out[i, : coeffs.size] = coeffs
+    out.setflags(write=False)
+    return out
+
+
 class NetworkModel:
     """A graph Laplacian, per-node dynamics, and a scalar coupling filter."""
 
@@ -253,6 +243,8 @@ class NetworkModel:
         "gbar_poles",
         "gbar_zeros",
         "homogeneous",
+        "_num",
+        "_den",
     )
 
     def __init__(
@@ -282,6 +274,11 @@ class NetworkModel:
         self.gbar_poles = poles(self.gbar) if self.gbar is not None else None
         self.gbar_zeros = zeros(self.gbar) if self.gbar is not None else None
         self.homogeneous = all(tf_approx_equal(g, nodes[0]) for g in nodes[1:]) if nodes else True
+        # Node numerators and denominators zero-padded to one width, so that
+        # every node is evaluated in a single Horner pass (see ``_evaluate``).
+        width = max((max(g.num.coeffs.size, g.den.coeffs.size) for g in nodes), default=1)
+        self._num = _padded([g.num.coeffs for g in nodes], width)
+        self._den = _padded([g.den.coeffs for g in nodes], width)
         self.assumptions = self._validate()
 
     @property
@@ -320,6 +317,8 @@ class NetworkModel:
         clone.gbar_poles = self.gbar_poles
         clone.gbar_zeros = self.gbar_zeros
         clone.homogeneous = self.homogeneous
+        clone._num = self._num
+        clone._den = self._den
         clone.assumptions = AssumptionReport(
             improper_nodes=self.assumptions.improper_nodes,
             coupling_improper=self.assumptions.coupling_improper,
@@ -402,59 +401,119 @@ class FrequencyGrid:
 # ---------------------------------------------------------------------------
 
 
-def _node_inverse_values(net: NetworkModel, s: complex, tol_zero: float) -> tuple[np.ndarray, list[int]]:
-    """Values of 1/g_i at ``s``; indices of nodes whose gain vanishes there."""
+@dataclass(frozen=True)
+class _PointValues:
+    """The values every frequency-domain quantity is built from at ``s``.
+
+    ``inv`` holds ``1/g_i(s)``, with zeros at the nodes listed in
+    ``vanished`` (their gain is zero, so the inverse is infinite);
+    ``f`` is the coupling filter value and ``gbar`` the coherent
+    dynamics, both possibly ``AT_INFINITY``.
+    """
+
+    s: complex
+    f: ExtComplex
+    inv: np.ndarray
+    vanished: tuple[int, ...]
+    gbar: ExtComplex
+
+    @property
+    def inv_max(self) -> float:
+        """``max_i |1/g_i(s)|``; ``inf`` where some gain vanishes."""
+        return math.inf if self.vanished else float(np.max(np.abs(self.inv)))
+
+
+def _coherent_value(inv: np.ndarray, vanished: Sequence[int], tol: float) -> ExtComplex:
+    """Harmonic mean ``(mean_i 1/g_i)^{-1}`` of the node gains.
+
+    ``0j`` when some gain vanishes; ``AT_INFINITY`` when the mean of the
+    inverses is at most ``tol`` times the mean of their magnitudes.
+    """
+    if vanished:
+        return 0j
+    mean = complex(np.sum(inv)) / inv.size
+    scale = float(np.sum(np.abs(inv))) / inv.size
+    if abs(mean) <= tol * max(scale, 1e-300):
+        return AT_INFINITY
+    return 1.0 / mean
+
+
+def _horner(coeffs: np.ndarray, s: complex) -> np.ndarray:
+    """Row-wise polynomial values; ascending coefficients along axis 1."""
+    acc = np.zeros(coeffs.shape[0], dtype=complex)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        acc = acc * s + coeffs[:, k]
+    return acc
+
+
+def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
+    """Evaluate the coupling filter and all node inverses at ``s``.
+
+    A node polynomial counts as vanishing when its value is at most
+    ``tol_zero`` times its evaluation envelope ``sum_k |c_k| |s|^k``;
+    a node whose numerator and denominator both vanish raises
+    ``IndeterminateAt``.
+    """
+    f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
+    z = complex(s)
+    num = _horner(net._num, z)
+    den = _horner(net._den, z)
+    powers = abs(z) ** np.arange(net._num.shape[1])
+    num_small = np.abs(num) <= tol_zero * np.maximum(np.abs(net._num) @ powers, 1e-300)
+    den_small = np.abs(den) <= tol_zero * np.maximum(np.abs(net._den) @ powers, 1e-300)
+    if np.any(num_small & den_small):
+        raise IndeterminateAt(s)
+    finite = ~(num_small | den_small)
     inv = np.zeros(net.n, dtype=complex)
-    vanished: list[int] = []
-    for i, g in enumerate(net.nodes):
-        v = _inverse_value(g, s, tol_zero)
-        if is_at_infinity(v):
-            vanished.append(i)
-        else:
-            inv[i] = v
-    return inv, vanished
+    inv[finite] = den[finite] / num[finite]
+    vanished = tuple(np.flatnonzero(num_small).tolist())
+    return _PointValues(s, f_val, inv, vanished, _coherent_value(inv, vanished, tol_zero))
 
 
-def _coupling_value(net: NetworkModel, s: complex, tol_zero: float) -> ExtComplex:
-    return tf_eval(net.coupling, s, tol_zero=tol_zero)
-
-
-def _solve_transfer(
-    net: NetworkModel, s: complex, tol_zero: float
-) -> tuple[np.ndarray, float, np.ndarray, list[int]]:
-    """Closed-loop transfer matrix, its solve condition estimate, the node
-    inverse gains, and the list of vanished-gain nodes.
+def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
+    """Closed-loop transfer matrix on ``laplacian`` and its condition estimate.
 
     Nodes with vanishing gain pin their outputs to zero; the remaining
     block is solved against the grounded Laplacian obtained by deleting
     their rows and columns.
     """
-    f_val = _coupling_value(net, s, tol_zero)
-    if is_at_infinity(f_val):
-        raise PoleOfCoupling(s)
-    inv, vanished = _node_inverse_values(net, s, tol_zero)
-    n = net.n
-    if not vanished:
-        a = np.diag(inv) + f_val * net.laplacian.matrix.astype(complex)
-        try:
-            t = np.linalg.solve(a, np.eye(n, dtype=complex))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(s) from exc
-        cond = float(np.linalg.norm(a, 1) * np.linalg.norm(t, 1))
-        return t, cond, inv, vanished
+    if is_at_infinity(pt.f):
+        raise PoleOfCoupling(pt.s)
+    n = pt.inv.size
+    mask = np.ones(n, dtype=bool)
+    mask[list(pt.vanished)] = False
+    kept = np.flatnonzero(mask)
     t = np.zeros((n, n), dtype=complex)
-    kept = [i for i in range(n) if i not in set(vanished)]
-    if not kept:
-        return t, 1.0, inv, vanished
-    sub = net.laplacian.matrix[np.ix_(kept, kept)].astype(complex)
-    a = np.diag(inv[kept]) + f_val * sub
+    if kept.size == 0:
+        return t, 1.0
+    block = np.ix_(kept, kept)
+    a = np.diag(pt.inv[kept]) + pt.f * laplacian[block]
     try:
-        x = np.linalg.solve(a, np.eye(len(kept), dtype=complex))
+        x = np.linalg.solve(a, np.eye(kept.size, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(s) from exc
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1))
-    t[np.ix_(kept, kept)] = x
-    return t, cond, inv, vanished
+        raise SingularSystem(pt.s) from exc
+    t[block] = x
+    return t, float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1))
+
+
+def _transfer(pt: _PointValues, laplacian: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
+    """``_solve``, warning with ``IllConditionedWarning`` above ``cond_limit``."""
+    t, cond = _solve(pt, laplacian)
+    if cond > cond_limit:
+        warnings.warn(
+            f"transfer-matrix solve at s = {pt.s} has condition estimate {cond:.3e}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return t
+
+
+def _coherent_matrix(gbar: complex, n: int) -> np.ndarray:
+    return (gbar / n) * np.ones((n, n), dtype=complex)
+
+
+def _distance_to_coherent(t: np.ndarray, gbar: complex) -> float:
+    return float(np.linalg.norm(t - _coherent_matrix(gbar, t.shape[0]), 2))
 
 
 def transfer_matrix(
@@ -472,14 +531,7 @@ def transfer_matrix(
     ``IllConditionedWarning`` when the solve's condition estimate
     exceeds ``cond_limit``.
     """
-    t, cond, _, _ = _solve_transfer(net, s, tol_zero)
-    if cond > cond_limit:
-        warnings.warn(
-            f"transfer-matrix solve at s = {s} has condition estimate {cond:.3e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    return t
+    return _transfer(_evaluate(net, s, tol_zero), net.laplacian.matrix, cond_limit)
 
 
 def transfer_matrix_direct(
@@ -491,7 +543,7 @@ def transfer_matrix_direct(
     otherwise); algebraically identical to ``transfer_matrix`` wherever
     both are defined, and kept as an independent cross-check.
     """
-    f_val = _coupling_value(net, s, tol_zero)
+    f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
     if is_at_infinity(f_val):
         raise PoleOfCoupling(s)
     gains = np.zeros(net.n, dtype=complex)
@@ -520,15 +572,14 @@ def transfer_matrix_modal(
     """
     if not net.homogeneous:
         raise ValidationError("eigenbasis evaluation requires identical node dynamics")
-    f_val = _coupling_value(net, s, tol_zero)
-    if is_at_infinity(f_val):
+    pt = _evaluate(net, s, tol_zero)
+    if is_at_infinity(pt.f):
         raise PoleOfCoupling(s)
-    g_inv = _inverse_value(net.nodes[0], s, tol_zero)
     lam = net.laplacian.eigenvalues
     vecs = net.laplacian.eigenvectors
-    if is_at_infinity(g_inv):
+    if 0 in pt.vanished:
         return np.zeros((net.n, net.n), dtype=complex)
-    denoms = g_inv + f_val * lam
+    denoms = pt.inv[0] + pt.f * lam
     if np.any(np.abs(denoms) == 0.0):
         raise SingularSystem(s)
     return (vecs * (1.0 / denoms)) @ vecs.T
@@ -541,14 +592,7 @@ def gbar_value(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> Ext
     node gain vanishes.  Works point-wise, so it never needs the symbolic
     mean (which can be expensive for large heterogeneous networks).
     """
-    inv, vanished = _node_inverse_values(net, s, tol_zero)
-    if vanished:
-        return 0j
-    mean = complex(np.sum(inv)) / net.n
-    scale = float(np.sum(np.abs(inv))) / net.n
-    if abs(mean) <= tol_zero * max(scale, 1e-300):
-        return AT_INFINITY
-    return 1.0 / mean
+    return _evaluate(net, s, tol_zero).gbar
 
 
 def coherent_projection(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> np.ndarray:
@@ -556,24 +600,25 @@ def coherent_projection(net: NetworkModel, s: complex, *, tol_zero: float = 1e-1
     v = gbar_value(net, s, tol_zero=tol_zero)
     if is_at_infinity(v):
         raise PoleOfCoherent(s)
-    n = net.n
-    return (v / n) * np.ones((n, n), dtype=complex)
+    return _coherent_matrix(v, net.n)
 
 
 def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
     """Spectral-norm distance between T(s) and its coherent part."""
-    proj = coherent_projection(net, s, tol_zero=tol_zero)
-    t, _, _, _ = _solve_transfer(net, s, tol_zero)
-    return float(np.linalg.norm(t - proj, 2))
+    pt = _evaluate(net, s, tol_zero)
+    if is_at_infinity(pt.gbar):
+        raise PoleOfCoherent(s)
+    t, _ = _solve(pt, net.laplacian.matrix)
+    return _distance_to_coherent(t, pt.gbar)
+
+
+def _effective_connectivity(f_val: ExtComplex, laplacian: LaplacianMatrix) -> float:
+    return math.inf if is_at_infinity(f_val) else abs(f_val) * algebraic_connectivity(laplacian)
 
 
 def effective_connectivity(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
     """|f(s)| times the algebraic connectivity; ``inf`` at poles of f."""
-    f_val = _coupling_value(net, s, tol_zero)
-    lam2 = algebraic_connectivity(net.laplacian)
-    if is_at_infinity(f_val):
-        return math.inf
-    return abs(f_val) * lam2
+    return _effective_connectivity(_evaluate(net, s, tol_zero).f, net.laplacian)
 
 
 def nodal_multiplicity(net: NetworkModel, s: complex, *, tol: float = DEFAULT_TOL_CLASSIFY) -> int:
@@ -588,6 +633,35 @@ def nodal_multiplicity(net: NetworkModel, s: complex, *, tol: float = DEFAULT_TO
 # ---------------------------------------------------------------------------
 # Bound
 # ---------------------------------------------------------------------------
+
+
+def _envelope_bound(pt: _PointValues, lam2: float, m1: float, m2: float) -> float | None:
+    """``lemma4_bound`` on already evaluated values, for connectivity ``lam2``."""
+    s = pt.s
+    if m1 <= 0 or m2 <= 0:
+        raise ValidationError("envelope constants must be positive")
+    if is_at_infinity(pt.f):
+        raise PoleOfCoupling(s)
+    if is_at_infinity(pt.gbar):
+        raise BoundHypothesisViolated(
+            f"coherent dynamics are infinite at s = {s}; no finite envelope applies"
+        )
+    if abs(pt.gbar) > m1 * (1.0 + _HYPOTHESIS_RTOL):
+        raise BoundHypothesisViolated(
+            f"|gbar({s})| = {abs(pt.gbar):.6g} exceeds the envelope m1 = {m1:.6g}"
+        )
+    if pt.vanished:
+        raise BoundHypothesisViolated(
+            f"node {pt.vanished[0]} gain vanishes at s = {s}; inverse gains unbounded"
+        )
+    if pt.inv_max > m2 * (1.0 + _HYPOTHESIS_RTOL):
+        raise BoundHypothesisViolated(
+            f"max_i |1/g_i({s})| = {pt.inv_max:.6g} exceeds the envelope m2 = {m2:.6g}"
+        )
+    denom = abs(pt.f) * lam2 - m2 - m1 * m2 * m2
+    if denom <= 0.0:
+        return None
+    return (m1 * m2 + 1.0) ** 2 / denom
 
 
 def lemma4_bound(
@@ -610,35 +684,9 @@ def lemma4_bound(
     numerically and ``BoundHypothesisViolated`` is raised when they
     fail at ``s``.
     """
-    if m1 <= 0 or m2 <= 0:
-        raise ValidationError("envelope constants must be positive")
-    f_val = _coupling_value(net, s, tol_zero)
-    if is_at_infinity(f_val):
-        raise PoleOfCoupling(s)
-    gb = gbar_value(net, s, tol_zero=tol_zero)
-    if is_at_infinity(gb):
-        raise BoundHypothesisViolated(
-            f"coherent dynamics are infinite at s = {s}; no finite envelope applies"
-        )
-    if abs(gb) > m1 * (1.0 + _HYPOTHESIS_RTOL):
-        raise BoundHypothesisViolated(
-            f"|gbar({s})| = {abs(gb):.6g} exceeds the envelope m1 = {m1:.6g}"
-        )
-    inv, vanished = _node_inverse_values(net, s, tol_zero)
-    if vanished:
-        raise BoundHypothesisViolated(
-            f"node {vanished[0]} gain vanishes at s = {s}; inverse gains unbounded"
-        )
-    max_inv = float(np.max(np.abs(inv))) if net.n else 0.0
-    if max_inv > m2 * (1.0 + _HYPOTHESIS_RTOL):
-        raise BoundHypothesisViolated(
-            f"max_i |1/g_i({s})| = {max_inv:.6g} exceeds the envelope m2 = {m2:.6g}"
-        )
-    lam2 = algebraic_connectivity(net.laplacian)
-    denom = abs(f_val) * lam2 - m2 - m1 * m2 * m2
-    if denom <= 0.0:
-        return None
-    return (m1 * m2 + 1.0) ** 2 / denom
+    return _envelope_bound(
+        _evaluate(net, s, tol_zero), algebraic_connectivity(net.laplacian), m1, m2
+    )
 
 
 def default_bounds(
@@ -659,14 +707,13 @@ def default_bounds(
     m1 = 0.0
     m2 = 0.0
     for s in grid.points:
-        gb = gbar_value(net, complex(s), tol_zero=tol_zero)
-        if is_at_infinity(gb):
+        pt = _evaluate(net, complex(s), tol_zero)
+        if is_at_infinity(pt.gbar):
             raise PoleOnGrid(complex(s))
-        inv, vanished = _node_inverse_values(net, complex(s), tol_zero)
-        if vanished:
+        if pt.vanished:
             raise ZeroOnGrid(complex(s))
-        m1 = max(m1, abs(gb))
-        m2 = max(m2, float(np.max(np.abs(inv))) if inv.size else 0.0)
+        m1 = max(m1, abs(pt.gbar))
+        m2 = max(m2, pt.inv_max)
     if m1 == 0.0 or m2 == 0.0:
         raise ValidationError("degenerate envelopes: node gains vanish identically on the grid")
     return margin * m1, margin * m2
@@ -725,10 +772,8 @@ class SweepResult:
 @dataclass(frozen=True)
 class _PointCore:
     status: str
+    pt: _PointValues
     transfer: np.ndarray | None
-    cond: float
-    gbar: ExtComplex | None
-    inv_max: float | None
     multiplicity: int
 
 
@@ -754,25 +799,18 @@ def _point_core(
     tol_zero: float = 1e-12,
     tol_classify: float = DEFAULT_TOL_CLASSIFY,
 ) -> _PointCore:
+    pt = _evaluate(net, s, tol_zero)
     multiplicity = nodal_multiplicity(net, s, tol=tol_classify)
     if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
-        return _PointCore(STATUS_POLE_F, None, 0.0, None, None, multiplicity)
+        return _PointCore(STATUS_POLE_F, pt, None, multiplicity)
     try:
-        t, cond, inv, vanished = _solve_transfer(net, s, tol_zero)
+        t, cond = _solve(pt, net.laplacian.matrix)
     except SingularSystem:
         # A pole of the closed loop itself: T does not exist there.  The
         # point is still classified (it typically coincides with a pole
         # of the coherent mean) instead of aborting a whole sweep.
-        t = None
-        cond = math.inf
-        inv, vanished = _node_inverse_values(net, s, tol_zero)
-    if vanished:
-        gb: ExtComplex = 0j
-    else:
-        mean = complex(np.sum(inv)) / net.n
-        scale = float(np.sum(np.abs(inv))) / net.n
-        gb = AT_INFINITY if abs(mean) <= tol_zero * max(scale, 1e-300) else 1.0 / mean
-    kind = _classify_gbar(net, s, gb, tol_classify)
+        t, cond = None, math.inf
+    kind = _classify_gbar(net, s, pt.gbar, tol_classify)
     if kind == "pole":
         status = STATUS_POLE_GBAR
     elif kind == "zero":
@@ -781,24 +819,30 @@ def _point_core(
         status = STATUS_ILL_CONDITIONED
     else:
         status = STATUS_OK
-    inv_max = None if vanished else (float(np.max(np.abs(inv))) if inv.size else 0.0)
-    return _PointCore(status, t, cond, gb, inv_max, multiplicity)
+    return _PointCore(status, pt, t, multiplicity)
+
+
+def _own_envelopes(pt: _PointValues) -> tuple[float | None, float | None]:
+    """Envelope constants from the probe point alone, inflated by 5%;
+    ``(None, None)`` where either envelope is zero or infinite."""
+    if is_at_infinity(pt.gbar) or pt.gbar == 0 or pt.vanished or pt.inv_max == 0.0:
+        return None, None
+    return 1.05 * abs(pt.gbar), 1.05 * pt.inv_max
 
 
 def _report_from_core(
     net: NetworkModel,
-    s: complex,
     core: _PointCore,
     m1: float | None,
     m2: float | None,
     *,
-    tol_zero: float = 1e-12,
     keep_transfer: bool = False,
 ) -> CoherenceReport:
-    eff = effective_connectivity(net, s, tol_zero=tol_zero)
+    pt = core.pt
+    eff = _effective_connectivity(pt.f, net.laplacian)
     if core.status == STATUS_POLE_F:
         return CoherenceReport(
-            s0=complex(s),
+            s0=complex(pt.s),
             status=core.status,
             gbar=None,
             incoherence=None,
@@ -808,20 +852,19 @@ def _report_from_core(
             multiplicity=core.multiplicity,
         )
     norm_t = None if core.transfer is None else float(np.linalg.norm(core.transfer, 2))
-    gb_finite = None if is_at_infinity(core.gbar) else complex(core.gbar)
-    if core.transfer is None or core.status == STATUS_POLE_GBAR or is_at_infinity(core.gbar):
+    gb_finite = None if is_at_infinity(pt.gbar) else complex(pt.gbar)
+    if core.transfer is None or core.status == STATUS_POLE_GBAR or gb_finite is None:
         inc: float | None = None
     else:
-        proj = (complex(core.gbar) / net.n) * np.ones((net.n, net.n), dtype=complex)
-        inc = float(np.linalg.norm(core.transfer - proj, 2))
+        inc = _distance_to_coherent(core.transfer, gb_finite)
     bound: float | None = None
     if m1 is not None and m2 is not None and inc is not None:
         try:
-            bound = lemma4_bound(net, s, m1, m2, tol_zero=tol_zero)
-        except (BoundHypothesisViolated, PoleOfCoupling):
+            bound = _envelope_bound(pt, algebraic_connectivity(net.laplacian), m1, m2)
+        except BoundHypothesisViolated:
             bound = None
     return CoherenceReport(
-        s0=complex(s),
+        s0=complex(pt.s),
         status=core.status,
         gbar=gb_finite,
         incoherence=inc,
@@ -852,20 +895,9 @@ def evaluate_point(
     in ``status`` rather than raising.
     """
     core = _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify)
-    if (
-        m1 is None
-        and m2 is None
-        and core.status in (STATUS_OK, STATUS_ILL_CONDITIONED)
-        and not is_at_infinity(core.gbar)
-        and core.gbar != 0
-        and core.inv_max is not None
-        and core.inv_max > 0.0
-    ):
-        m1 = 1.05 * abs(core.gbar)
-        m2 = 1.05 * core.inv_max
-    return _report_from_core(
-        net, s, core, m1, m2, tol_zero=tol_zero, keep_transfer=keep_transfer
-    )
+    if m1 is None and m2 is None and core.status in (STATUS_OK, STATUS_ILL_CONDITIONED):
+        m1, m2 = _own_envelopes(core.pt)
+    return _report_from_core(net, core, m1, m2, keep_transfer=keep_transfer)
 
 
 def sweep(
@@ -892,22 +924,19 @@ def sweep(
     )
     m1 = m2 = None
     if with_bounds:
-        sup_g = 0.0
-        sup_inv = 0.0
-        usable = False
-        for core in cores:
-            if core.status in (STATUS_OK, STATUS_ILL_CONDITIONED) and core.inv_max is not None:
-                if not is_at_infinity(core.gbar):
-                    usable = True
-                    sup_g = max(sup_g, abs(core.gbar))
-                    sup_inv = max(sup_inv, core.inv_max)
-        if usable and sup_g > 0.0 and sup_inv > 0.0:
+        clean = [
+            core.pt
+            for core in cores
+            if core.status in (STATUS_OK, STATUS_ILL_CONDITIONED)
+            and not core.pt.vanished
+            and not is_at_infinity(core.pt.gbar)
+        ]
+        sup_g = max((abs(pt.gbar) for pt in clean), default=0.0)
+        sup_inv = max((pt.inv_max for pt in clean), default=0.0)
+        if sup_g > 0.0 and sup_inv > 0.0:
             m1 = margin * sup_g
             m2 = margin * sup_inv
-    reports = tuple(
-        _report_from_core(net, s, core, m1, m2, tol_zero=tol_zero)
-        for s, core in zip(pts, cores)
-    )
+    reports = tuple(_report_from_core(net, core, m1, m2) for core in cores)
     return SweepResult(grid=grid, reports=reports, m1=m1, m2=m2)
 
 
@@ -978,39 +1007,28 @@ def convergence_study(
         raise ValidationError("multipliers must be positive")
     if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
         raise PoleOfCoupling(s)
-    gb = gbar_value(net, s, tol_zero=tol_zero)
-    kind = "incoherence"
-    if net.gbar_poles is not None:
-        if net.gbar_poles.size and np.min(np.abs(net.gbar_poles - s)) <= tol_classify:
-            kind = "norm_T"
-    elif is_at_infinity(gb):
-        kind = "norm_T"
-    m1 = m2 = None
-    if kind == "incoherence" and not is_at_infinity(gb) and gb != 0:
-        inv, vanished = _node_inverse_values(net, s, tol_zero)
-        if not vanished:
-            inv_max = float(np.max(np.abs(inv)))
-            if inv_max > 0.0:
-                m1 = 1.05 * abs(gb)
-                m2 = 1.05 * inv_max
+    pt = _evaluate(net, s, tol_zero)
+    kind = "norm_T" if _classify_gbar(net, s, pt.gbar, tol_classify) == "pole" else "incoherence"
+    m1, m2 = _own_envelopes(pt) if kind == "incoherence" else (None, None)
+    lam2 = algebraic_connectivity(net.laplacian)
 
     def one(alpha: float) -> ConvergenceRow:
-        scaled = net.with_laplacian(scale_connectivity(net.laplacian, alpha))
         try:
-            t, _, _, _ = _solve_transfer(scaled, s, tol_zero)
+            t, _ = _solve(pt, alpha * net.laplacian.matrix)
         except SingularSystem:
             if kind == "norm_T":
                 return ConvergenceRow(alpha, math.inf, None, kind)
             raise
         if kind == "norm_T":
             return ConvergenceRow(alpha, float(np.linalg.norm(t, 2)), None, kind)
-        proj = coherent_projection(scaled, s, tol_zero=tol_zero)
-        value = float(np.linalg.norm(t - proj, 2))
+        if is_at_infinity(pt.gbar):
+            raise PoleOfCoherent(s)
+        value = _distance_to_coherent(t, pt.gbar)
         bound = None
         if m1 is not None and m2 is not None:
             try:
-                bound = lemma4_bound(scaled, s, m1, m2, tol_zero=tol_zero)
-            except (BoundHypothesisViolated, PoleOfCoupling):
+                bound = _envelope_bound(pt, alpha * lam2, m1, m2)
+            except BoundHypothesisViolated:
                 bound = None
         return ConvergenceRow(alpha, value, bound, kind)
 
@@ -1028,27 +1046,24 @@ def _pole_direction_data(
     lambda_lim: Sequence[float] | None,
     tol_pole: float,
     tol_zero: float,
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex, _PointValues]:
     """Shared core for the coherent-pole direction.
 
-    Returns ``(gamma, direction)`` where ``gamma`` is the reported
+    Returns ``(gamma, direction, pt)`` where ``gamma`` is the reported
     unit-modulus coefficient ``y/|y|`` with
     ``y = h21^T diag(1/lambda_lim) h21`` (no conjugation: the bilinear
     form follows the transpose), and ``direction`` is the unit complex
     number such that ``T/|T| -> direction * 11^T/n`` as the pole is
-    approached, namely ``-(f/|f|) * conj(y)/|y|``.
+    approached, namely ``-(f/|f|) * conj(y)/|y|``; ``pt`` holds the
+    values at ``s`` both were computed from.
     """
     n = net.n
     if n < 2:
         raise ValidationError("pole direction needs at least two nodes")
-    inv, vanished = _node_inverse_values(net, s, tol_zero)
-    if vanished:
+    pt = _evaluate(net, s, tol_zero)
+    if not is_at_infinity(_coherent_value(pt.inv, pt.vanished, tol_pole)):
         raise NotAPoleOfCoherent(s)
-    mean = complex(np.sum(inv)) / n
-    scale = float(np.sum(np.abs(inv))) / n
-    if not abs(mean) <= tol_pole * max(scale, 1e-300):
-        raise NotAPoleOfCoherent(s)
-    f_val = _coupling_value(net, s, tol_zero)
+    f_val = pt.f
     if is_at_infinity(f_val):
         raise PoleOfCoupling(s)
     if f_val == 0:
@@ -1068,7 +1083,7 @@ def _pole_direction_data(
             )
         if np.any(weights <= 0.0):
             raise ValidationError("lambda_lim values must be positive")
-    h21 = vecs.T @ (inv / math.sqrt(n))
+    h21 = vecs.T @ (pt.inv / math.sqrt(n))
     y = complex(np.sum(h21 * h21 / weights))
     y_scale = float(np.sum(np.abs(h21) ** 2 / weights))
     if abs(y) <= 1e-12 * max(y_scale, 1e-300):
@@ -1078,7 +1093,7 @@ def _pole_direction_data(
     gamma = y / abs(y)
     f_phase = complex(f_val) / abs(f_val)
     direction = -f_phase * gamma.conjugate()
-    return gamma, direction
+    return gamma, direction, pt
 
 
 def coherent_pole_direction(
@@ -1098,7 +1113,7 @@ def coherent_pole_direction(
     eigenvectors.  ``lambda_lim`` defaults to the positive Laplacian
     eigenvalues divided by the smallest one.
     """
-    gamma, _ = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
+    gamma, _, _ = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
     return gamma
 
 
@@ -1117,8 +1132,8 @@ def normalized_incoherence(
     unit-modulus limit direction; decays as connectivity grows even
     though the raw incoherence is undefined at such points.
     """
-    _, direction = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
-    t, _, _, _ = _solve_transfer(net, s, tol_zero)
+    _, direction, pt = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
+    t, _ = _solve(pt, net.laplacian.matrix)
     norm_t = float(np.linalg.norm(t, 2))
     if norm_t == 0.0:
         raise DegenerateGamma(f"transfer matrix vanishes at s = {s}")
@@ -1263,7 +1278,8 @@ def failure_experiment(
     rows: list[FailureRow] = []
     for alpha in alphas:
         alpha = float(alpha)
-        weighted = sqrt_d[:, None] * (alpha * net.laplacian.matrix) * sqrt_d[None, :]
+        scaled = alpha * net.laplacian.matrix
+        weighted = sqrt_d[:, None] * scaled * sqrt_d[None, :]
         lam_max = float(np.max(np.linalg.eigvalsh((weighted + weighted.T) / 2.0)))
         rset = list(base_radii)
         if lam_max > 0.0:
@@ -1275,11 +1291,14 @@ def failure_experiment(
         for r in rset:
             for th in thetas:
                 s = complex(z) + r * cmath.exp(1j * th)
-                scaled = net.with_laplacian(scale_connectivity(net.laplacian, alpha))
                 try:
-                    val = incoherence(scaled, s, tol_zero=tol_zero)
-                except (PoleOfCoherent, PoleOfCoupling, SingularSystem, IndeterminateAt):
+                    pt = _evaluate(net, s, tol_zero)
+                    if is_at_infinity(pt.gbar):
+                        continue
+                    t, _ = _solve(pt, scaled)
+                except (PoleOfCoupling, SingularSystem, IndeterminateAt):
                     continue
+                val = _distance_to_coherent(t, pt.gbar)
                 if val > sup_val:
                     sup_val = val
                     arg = s
@@ -1293,15 +1312,13 @@ def failure_experiment(
 
 
 def _fmt(value) -> str:
+    """One CSV cell: empty for ``None``, ``str`` for integers, and the
+    shortest round-trip text (``inf``/``-inf``/``nan`` included) otherwise."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(float(value))
     if isinstance(value, int):
         return str(value)
-    return str(value)
+    return repr(float(value))
 
 
 def report_csv_header() -> str:

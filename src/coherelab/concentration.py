@@ -25,14 +25,21 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .errors import ValidationError
-from .coherence import FrequencyGrid, NetworkModel, transfer_matrix
+from .coherence import (
+    FrequencyGrid,
+    NetworkModel,
+    _distance_to_coherent,
+    _evaluate,
+    _fmt,
+    _transfer,
+)
 from .network import (
     LaplacianMatrix,
     algebraic_connectivity,
     complete_graph,
     k_regular_ring,
 )
-from .rational import RationalTF, is_at_infinity, poles, tf_eval, tf_inv
+from .rational import DEFAULT_TOL_ZERO, RationalTF, is_at_infinity, poles, tf_eval
 
 __all__ = [
     "Constant",
@@ -421,22 +428,16 @@ def _trial_measurements(
     """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|)."""
     gs = sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial))
     net = NetworkModel(lap, gs, coupling)
-    inv_tfs = [tf_inv(g) for g in gs]
-    ones = np.ones((n, n))
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
     for p, s in enumerate(points):
-        inv_vals = np.array([_finite_eval(h, s) for h in inv_tfs])
-        max_inv = max(max_inv, float(np.max(np.abs(inv_vals))))
-        if net.gbar is not None:
-            gbar_s = _finite_eval(net.gbar, s)
-        else:
-            gbar_s = n / complex(np.sum(inv_vals))
-        sup_gbar = max(sup_gbar, abs(gbar_s - ghat_vals[p]))
-        t = transfer_matrix(net, s)
-        deviation = t - (ghat_vals[p] / n) * ones
-        sup_inc = max(sup_inc, float(np.linalg.norm(deviation, 2)))
+        pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
+        max_inv = max(max_inv, pt.inv_max)
+        gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat_vals[p])
+        sup_gbar = max(sup_gbar, gbar_dev)
+        t = _transfer(pt, lap.matrix)
+        sup_inc = max(sup_inc, _distance_to_coherent(t, ghat_vals[p]))
     return sup_gbar, sup_inc, max_inv
 
 
@@ -529,12 +530,6 @@ def concentration_experiment(
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "-inf" if value < 0 else "inf"
-    return repr(float(value))
 
 
 def concentration_csv_header() -> str:

@@ -9,7 +9,6 @@ component of each that exceeds the noise floor is made positive.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -216,53 +215,3 @@ def grounded_bound_check(lap: LaplacianMatrix, removed: Iterable[int],
     reference = len(sub.removed) / lap.n * algebraic_connectivity(lap)
     lam = sub.lambda_min
     return lam, reference, lam >= reference - tol
-
-
-# ---------------------------------------------------------------------------
-# edge-list text files
-
-
-def read_edge_list(path: str | os.PathLike) -> LaplacianMatrix:
-    """Read ``nodes <n>`` / ``edge <i> <j> <w>`` lines; ``#`` starts a comment."""
-    n = None
-    edges: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if tokens[0] == "nodes" and len(tokens) == 2:
-                    n = int(tokens[1])
-                elif tokens[0] == "edge" and len(tokens) == 4:
-                    edges.append((int(tokens[1]), int(tokens[2]), float(tokens[3])))
-                else:
-                    raise ValueError("unrecognized directive")
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    if n is None:
-        raise ValidationError(f"{path}: missing 'nodes <n>' line")
-    return laplacian_from_edges(n, edges)
-
-
-def write_edge_list(path: str | os.PathLike, lap: LaplacianMatrix) -> None:
-    lines = [f"nodes {lap.n}"]
-    for i in range(lap.n):
-        for j in range(i + 1, lap.n):
-            w = -float(lap.matrix[i, j])
-            if w > 0.0:
-                lines.append(f"edge {i} {j} {w!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def edges_of(lap: LaplacianMatrix) -> list[tuple[int, int, float]]:
-    """Recover the (i < j, weight) edge list from the matrix."""
-    out = []
-    for i in range(lap.n):
-        for j in range(i + 1, lap.n):
-            w = -float(lap.matrix[i, j])
-            if w > 0.0:
-                out.append((i, j, w))
-    return out

@@ -195,17 +195,17 @@ def tf_eval(g: RationalTF, s: complex,
     return num_val / den_val
 
 
-def tf_is_zero_at(g: RationalTF, s: complex,
-                  tol_zero: float = DEFAULT_TOL_ZERO) -> bool:
-    """True when the numerator vanishes at ``s`` (relative to its envelope)."""
-    s = complex(s)
-    num_val = complex(npoly.polyval(s, g.num.coeffs))
-    return abs(num_val) <= tol_zero * _poly_envelope(g.num.coeffs, abs(s))
-
-
 def tf_add(a: RationalTF, b: RationalTF,
            tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
-    """Exact cross-multiplied sum, followed by one simplification pass."""
+    """Exact sum, followed by one simplification pass.
+
+    Equal denominators add their numerators directly: cross multiplying
+    would square every denominator root, and a double root is located
+    only to about the square root of machine precision, too coarsely for
+    ``simplify`` to cancel it back to full accuracy.
+    """
+    if np.array_equal(a.den.coeffs, b.den.coeffs):
+        return simplify(RationalTF(_poly_add(a.num.coeffs, b.num.coeffs), a.den), tol_cancel)
     num = _poly_add(_poly_mul(a.num.coeffs, b.den.coeffs),
                     _poly_mul(b.num.coeffs, a.den.coeffs))
     den = _poly_mul(a.den.coeffs, b.den.coeffs)
@@ -419,10 +419,6 @@ def properness(g: RationalTF) -> Properness:
     if num_deg == den_deg:
         return Properness.PROPER_BIPROPER
     return Properness.IMPROPER
-
-
-def is_proper(g: RationalTF) -> bool:
-    return properness(g) is not Properness.IMPROPER
 
 
 def tf_approx_equal(a: RationalTF, b: RationalTF, tol: float = 1e-9) -> bool:

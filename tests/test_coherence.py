@@ -459,6 +459,36 @@ class TestSweep:
             lemma4_bound(net, clean.s0, result.m1, result.m2)
         )
 
+        # Heterogeneous: node 2 vanishes at s = j and the inverse gains sum
+        # to zero at s = 0, a pole of gbar.
+        nodes = [
+            RationalTF([1.0], [-1.0, 1.0]),
+            RationalTF([1.0], [1.0, 1.0]),
+            RationalTF([1.0, 0.0, 1.0], [1.0, 2.0, 1.0]),
+            RationalTF([1.0], [-1.0, 1.0]),
+        ]
+        net = NetworkModel(complete_graph(4, 40.0), nodes, ONE)
+        result = sweep(net, FrequencyGrid.linear(0.0, 0.0, 2.0, 9))
+        assert result.reports[0].status == "pole_gbar"
+        assert result.reports[4].status == "zero_gbar"  # s = j
+        bounded = 0
+        for r in result.reports:
+            try:
+                expected = lemma4_bound(net, r.s0, result.m1, result.m2)
+            except BoundHypothesisViolated:
+                expected = None
+            if expected is None:
+                assert r.bound is None
+            else:
+                assert r.bound == pytest.approx(expected, rel=1e-12)
+                bounded += 1
+            if r.incoherence is None:
+                with pytest.raises(PoleOfCoherent):
+                    incoherence(net, r.s0)
+            else:
+                assert r.incoherence == pytest.approx(incoherence(net, r.s0), rel=1e-12)
+        assert bounded >= 3
+
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         net = random_network(np.random.default_rng(23))
         grid = FrequencyGrid.logarithmic(0.1, 0.05, 20.0, 9)
@@ -570,6 +600,9 @@ class TestConvergenceStudy:
         assert [(r.alpha, r.value, r.bound) for r in first] == [
             (r.alpha, r.value, r.bound) for r in second
         ]
+        for r in first:
+            scaled = net.with_laplacian(scale_connectivity(net.laplacian, r.alpha))
+            assert r.value == pytest.approx(incoherence(scaled, 0.9 + 0.4j), rel=1e-12)
 
     def test_transfer_norm_mode_at_coherent_pole(self):
         net = NetworkModel(

@@ -19,6 +19,7 @@ from coherelab.concentration import (
     ConcentrationRow,
     ConcentrationTable,
     Constant,
+    ExpectedDynamics,
     MonteCarlo,
     NoClosedForm,
     RandomTFModel,
@@ -263,6 +264,30 @@ class TestConcentrationExperiment:
             self.run_small(trials=0)
         with pytest.raises(ValidationError):
             self.run_small(epsilon=0.0)
+
+    def test_coherent_deviation_is_pointwise_for_heterogeneous_biproper_nodes(self):
+        # The expanded harmonic mean of 30 nodes (s + a)/(s + b) is off by
+        # percents, so the deviation must come from the node values.
+        model = RandomTFModel(
+            (Uniform(0.5, 2.0), Constant(1.0)), (Uniform(0.5, 2.0), Constant(1.0)), seed=4
+        )
+        ghat = 0.8 - 0.1j
+        fixed = ExpectedDynamics(
+            lambda pts: np.full(len(pts), ghat), tf=None, method="constant"
+        )
+        n, trials, seed = 30, 2, 5
+        table = concentration_experiment(
+            model, CompleteFamily(), [n], self.GRID, trials, 0.1, seed, expected=fixed
+        )
+        sups = []
+        for trial in range(trials):
+            gs = sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial))
+            sups.append(max(
+                abs(n / sum(np.polyval(g.den.coeffs[::-1], s) / np.polyval(g.num.coeffs[::-1], s)
+                            for g in gs) - ghat)
+                for s in self.GRID.points
+            ))
+        assert table.rows[0].sup_gbar_dev == pytest.approx(np.mean(sups), rel=1e-9)
 
     def test_table_requires_sorted_rows(self):
         row = ConcentrationRow(8, 8.0, 0.1, 0.1, 0.2, 2, 0.5)

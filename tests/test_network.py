@@ -12,14 +12,11 @@ from coherelab.network import (
     SelfLoop,
     algebraic_connectivity,
     complete_graph,
-    edges_of,
     grounded,
     grounded_bound_check,
     k_regular_ring,
     laplacian_from_edges,
-    read_edge_list,
     scale_connectivity,
-    write_edge_list,
 )
 
 
@@ -183,30 +180,3 @@ def test_grounded_share_of_connectivity_on_random_graphs():
         removed = rng.choice(n, size=m, replace=False)
         lam, reference, holds = grounded_bound_check(lap, removed)
         assert holds, (lam, reference)
-
-
-# ---------------------------------------------------------------------------
-# files
-
-def test_edge_list_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    lap = random_connected_laplacian(rng, 7)
-    path = tmp_path / "graph.txt"
-    write_edge_list(path, lap)
-    back = read_edge_list(path)
-    assert np.allclose(back.matrix, lap.matrix, atol=1e-15)
-    assert edges_of(back) == pytest.approx(edges_of(lap))
-
-
-def test_edge_list_parser_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("nodes 3\nedge 0 1 1.0\nedge 0 oops 1.0\n")
-    with pytest.raises(ValidationError, match="line 3"):
-        read_edge_list(path)
-
-
-def test_edge_list_requires_node_count(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("# only a comment\n")
-    with pytest.raises(ValidationError, match="nodes"):
-        read_edge_list(path)

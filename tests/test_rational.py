@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coherelab.rational import (
     AT_INFINITY,
@@ -141,6 +141,7 @@ def test_inverse_of_zero_function_rejected():
 
 
 @given(coefficient_tfs(), coefficient_tfs())
+@example(RationalTF([2.0], [3.0, 0.0, 4.0, 1.0]), RationalTF([2.0], [3.0, 0.0, 4.0, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_add_is_pointwise(a, b):
     va, vb = _finite_eval(a, _GENERIC_S), _finite_eval(b, _GENERIC_S)
