@@ -320,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_converge)
 
     p = commands.add_parser("simulate",
-                            help="fixed-step closed-loop time response")
+                            help="closed-loop time response sampled on a uniform grid")
     _add_common(p)
     p.add_argument("--input", required=True,
                    help="impulse | step:<node>:<magnitude> | sin:<omega>:<amplitude>")
     p.add_argument("--t-end", type=float, required=True, help="simulation horizon")
     p.add_argument("--dt", type=float, default=None,
-                   help="integration step (default: auto from system stiffness)")
+                   help="output spacing (default: auto from system stiffness)")
     p.add_argument("--reference", action="store_true",
                    help="append the coherent-reference output column")
     p.set_defaults(handler=_cmd_simulate)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=None,
                    help="simulation horizon for --compare")
     p.add_argument("--dt", type=float, default=None,
-                   help="integration step for --compare")
+                   help="output spacing for --compare")
     p.set_defaults(handler=_cmd_aggregate)
 
     p = commands.add_parser("check",

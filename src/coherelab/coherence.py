@@ -773,8 +773,10 @@ class SweepResult:
 class _PointCore:
     status: str
     pt: _PointValues
-    transfer: np.ndarray | None
     multiplicity: int
+    norm_transfer: float | None = None
+    incoherence: float | None = None
+    transfer: np.ndarray | None = None  # only when the caller keeps it
 
 
 def _classify_gbar(net: NetworkModel, s: complex, value: ExtComplex, tol: float) -> str:
@@ -798,11 +800,17 @@ def _point_core(
     *,
     tol_zero: float = 1e-12,
     tol_classify: float = DEFAULT_TOL_CLASSIFY,
+    keep_transfer: bool = False,
 ) -> _PointCore:
+    """Status, norms and incoherence at one point.
+
+    Both norms are taken here so that a sweep holds no n x n matrix
+    beyond the point being evaluated; T itself is kept only on request.
+    """
     pt = _evaluate(net, s, tol_zero)
     multiplicity = nodal_multiplicity(net, s, tol=tol_classify)
     if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
-        return _PointCore(STATUS_POLE_F, pt, None, multiplicity)
+        return _PointCore(STATUS_POLE_F, pt, multiplicity)
     try:
         t, cond = _solve(pt, net.laplacian.matrix)
     except SingularSystem:
@@ -819,7 +827,13 @@ def _point_core(
         status = STATUS_ILL_CONDITIONED
     else:
         status = STATUS_OK
-    return _PointCore(status, pt, t, multiplicity)
+    if t is None:
+        return _PointCore(status, pt, multiplicity)
+    norm_t = float(np.linalg.norm(t, 2))
+    inc = None
+    if status != STATUS_POLE_GBAR and not is_at_infinity(pt.gbar):
+        inc = _distance_to_coherent(t, complex(pt.gbar))
+    return _PointCore(status, pt, multiplicity, norm_t, inc, t if keep_transfer else None)
 
 
 def _own_envelopes(pt: _PointValues) -> tuple[float | None, float | None]:
@@ -835,8 +849,6 @@ def _report_from_core(
     core: _PointCore,
     m1: float | None,
     m2: float | None,
-    *,
-    keep_transfer: bool = False,
 ) -> CoherenceReport:
     pt = core.pt
     eff = _effective_connectivity(pt.f, net.laplacian)
@@ -851,14 +863,8 @@ def _report_from_core(
             norm_transfer=None,
             multiplicity=core.multiplicity,
         )
-    norm_t = None if core.transfer is None else float(np.linalg.norm(core.transfer, 2))
-    gb_finite = None if is_at_infinity(pt.gbar) else complex(pt.gbar)
-    if core.transfer is None or core.status == STATUS_POLE_GBAR or gb_finite is None:
-        inc: float | None = None
-    else:
-        inc = _distance_to_coherent(core.transfer, gb_finite)
     bound: float | None = None
-    if m1 is not None and m2 is not None and inc is not None:
+    if m1 is not None and m2 is not None and core.incoherence is not None:
         try:
             bound = _envelope_bound(pt, algebraic_connectivity(net.laplacian), m1, m2)
         except BoundHypothesisViolated:
@@ -866,13 +872,13 @@ def _report_from_core(
     return CoherenceReport(
         s0=complex(pt.s),
         status=core.status,
-        gbar=gb_finite,
-        incoherence=inc,
+        gbar=None if is_at_infinity(pt.gbar) else complex(pt.gbar),
+        incoherence=core.incoherence,
         bound=bound,
         effective_connectivity=eff,
-        norm_transfer=norm_t,
+        norm_transfer=core.norm_transfer,
         multiplicity=core.multiplicity,
-        transfer=core.transfer if keep_transfer else None,
+        transfer=core.transfer,
     )
 
 
@@ -894,10 +900,11 @@ def evaluate_point(
     empty; structural problems (poles of the coupling filter) surface
     in ``status`` rather than raising.
     """
-    core = _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify)
+    core = _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify,
+                       keep_transfer=keep_transfer)
     if m1 is None and m2 is None and core.status in (STATUS_OK, STATUS_ILL_CONDITIONED):
         m1, m2 = _own_envelopes(core.pt)
-    return _report_from_core(net, core, m1, m2, keep_transfer=keep_transfer)
+    return _report_from_core(net, core, m1, m2)
 
 
 def sweep(

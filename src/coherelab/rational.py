@@ -368,8 +368,9 @@ def harmonic_mean(gs: Iterable[RationalTF],
                   tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
     """Harmonic mean ``( (1/n) sum g_i^{-1} )^{-1}`` of transfer functions.
 
-    The sum of inverses is accumulated by exact cross multiplication (with
-    monic renormalization to keep magnitudes in range) and a single
+    The sum of inverses is accumulated by exact cross multiplication, or by
+    adding numerators over proportional denominators (with monic
+    renormalization to keep magnitudes in range), and a single
     simplification runs at the very end, so intermediate cancellations can
     never change the result.
     """
@@ -385,9 +386,16 @@ def harmonic_mean(gs: Iterable[RationalTF],
     acc_den = np.array(gs[0].num.coeffs)
     for g in gs[1:]:
         inv_num, inv_den = g.den.coeffs, g.num.coeffs
-        acc_num = npoly.polytrim(_poly_add(_poly_mul(acc_num, inv_den),
-                                           _poly_mul(inv_num, acc_den)), 0.0)
-        acc_den = _poly_mul(acc_den, inv_den)
+        if np.array_equal(acc_den / acc_den[-1], inv_den / inv_den[-1]):
+            # Proportional denominators add their numerators directly, as in
+            # ``tf_add``: cross multiplying would raise the multiplicity of
+            # every common root.
+            scale = acc_den[-1] / inv_den[-1]
+            acc_num = npoly.polytrim(_poly_add(acc_num, scale * inv_num), 0.0)
+        else:
+            acc_num = npoly.polytrim(_poly_add(_poly_mul(acc_num, inv_den),
+                                               _poly_mul(inv_num, acc_den)), 0.0)
+            acc_den = _poly_mul(acc_den, inv_den)
         lead = acc_den[-1]
         acc_num = acc_num / lead
         acc_den = acc_den / lead

@@ -172,7 +172,7 @@ class TestSimulate:
             "--input", "impulse", "--t-end", "1.0", "--dt", "5.0",
         )
         assert code == 1
-        assert "stability guard" in err
+        assert "exceeds t_end" in err
 
     def test_bad_input_spec(self, capsys, netfile):
         for spec in ("bogus", "step:1", "sin:1", "step:a:b"):

@@ -1,6 +1,7 @@
 """Tests for the frequency-domain coherence engine."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -497,6 +498,23 @@ class TestSweep:
         monkeypatch.setenv("COHERELAB_THREADS", "4")
         threaded = [report_csv_row(r) for r in sweep(net, grid).reports]
         assert serial == threaded
+
+    def test_memory_does_not_grow_with_grid_size(self, monkeypatch):
+        # Each n x n complex T takes 16 n^2 bytes; a 40-point sweep must not
+        # hold one per point.
+        n = 150
+        gains = np.random.default_rng(37).uniform(0.5, 2.0, size=n)
+        net = NetworkModel(complete_graph(n), [RationalTF([k], [1.0, 1.0]) for k in gains], ONE)
+        grid = FrequencyGrid.linear(0.5, 0.1, 5.0, 40)
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        tracemalloc.start()
+        try:
+            result = sweep(net, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == "ok" and r.transfer is None for r in result.reports)
+        assert peak < 10 * 16 * n * n
 
 
 class TestSupIncoherence:

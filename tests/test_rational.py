@@ -248,6 +248,7 @@ def test_harmonic_mean_of_first_order_pair():
 
 
 @given(separated_root_tfs(), st.integers(min_value=1, max_value=4))
+@example(RationalTF([5.0, 9.5, 5.5, 1.0], [1.5, 1.0]), 4)  # (s+1)(s+2)(s+2.5)/(s+1.5)
 @settings(max_examples=40, deadline=None)
 def test_harmonic_mean_idempotent_on_constant_sequences(g, n):
     assume(not g.num.is_zero)

@@ -16,8 +16,8 @@ from coherelab.timedomain import (
     SinusoidAll,
     StateSpace,
     StepNode,
-    StepTooLarge,
     Trajectory,
+    _expm,
     closed_loop,
     coherent_reference,
     default_step,
@@ -193,21 +193,45 @@ class TestSimulate:
         expected = abs(tf_eval(g, 1j * omega))
         assert abs(np.max(np.abs(steady)) - expected) < 0.01 * expected
 
-    def test_rk4_error_drops_sixteenfold_when_halving_dt(self):
+    def test_integrator_sinusoid_is_exact_at_any_step(self):
         exact = (1.0 - math.cos(2.0 * 0.5)) / 2.0
-
-        def error(dt):
+        for dt in (0.02, 0.01):
             traj = simulate(realize(INTEGRATOR), SinusoidAll(2.0, 1.0), 0.5, dt)
-            return abs(traj.outputs[0, -1] - exact)
-
-        ratio = error(0.02) / error(0.01)
-        assert 14.0 <= ratio <= 18.0
+            assert abs(traj.outputs[0, -1] - exact) < 1e-12
 
     def test_step_guard(self):
+        # A step ten time constants long is still sampled exactly.
         stiff = realize(RationalTF([1.0], [100.0, 1.0]))
-        with pytest.raises(StepTooLarge):
-            simulate(stiff, StepNode(0), 1.0, 0.1)
+        traj = simulate(stiff, StepNode(0), 1.0, 0.1)
+        exact = (1.0 - np.exp(-100.0 * traj.times)) / 100.0
+        assert np.max(np.abs(traj.outputs[0] - exact)) < 1e-12
         assert default_step(stiff) == pytest.approx(0.005)
+
+    def test_impulse_matches_modal_solution(self):
+        rng = np.random.default_rng(41)
+        nodes = [random_second_order_tf(rng) for _ in range(4)]
+        lap = random_connected_laplacian(rng, 4, extra_edges=2)
+        cl = closed_loop(NetworkModel(lap, nodes, RationalTF([1.0], [0.5, 1.0])))
+        assert not np.allclose(cl.a, cl.a.T)
+        traj = simulate(cl, ImpulseAll(1.5), 6.0, 0.01)
+        lam, vec = np.linalg.eig(cl.a)
+        modal = np.linalg.solve(vec, cl.b @ np.full(4, 1.5))
+        exact = (cl.c @ vec @ (modal[:, None] * np.exp(np.outer(lam, traj.times)))).real
+        assert np.max(np.abs(traj.outputs - exact)) < 1e-10 * np.max(np.abs(exact))
+
+    def test_step_and_sinusoid_match_closed_forms(self):
+        # g = (s + 3)/(s + 2) = 1 + 1/(s + 2): the feedthrough reaches y at once.
+        g = realize(RationalTF([3.0, 1.0], [2.0, 1.0]))
+        traj = simulate(g, StepNode(0, 0.7), 4.0, 0.01)
+        t = traj.times
+        exact = 0.7 * (1.5 - 0.5 * np.exp(-2.0 * t))
+        assert np.max(np.abs(traj.outputs[0] - exact)) < 1e-12
+        omega, amp = 1.3, 0.8
+        traj = simulate(g, SinusoidAll(omega, amp), 4.0, 0.01)
+        lag = (2.0 * np.sin(omega * t) - omega * np.cos(omega * t)
+               + omega * np.exp(-2.0 * t)) / (4.0 + omega**2)
+        exact = amp * (np.sin(omega * t) + lag)
+        assert np.max(np.abs(traj.outputs[0] - exact)) < 1e-12
 
     def test_default_step_cap_for_slow_systems(self):
         assert default_step(realize(RationalTF([1.0], [0.1, 1.0]))) == pytest.approx(0.01)
@@ -220,11 +244,38 @@ class TestSimulate:
             simulate(ss, StepNode(0), -1.0, 0.01)
         with pytest.raises(ValidationError):
             simulate(ss, StepNode(0), 1.0, -0.1)
+        # Non-finite values, and a step that would end past the horizon.
+        for t_end, dt in ((math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, 5.0)):
+            with pytest.raises(ValidationError):
+                simulate(ss, StepNode(0), t_end, dt)
 
     def test_static_system_simulates_feedthrough_only(self):
         ss = realize(RationalTF([3.0], [1.0]))
         traj = simulate(ss, SinusoidAll(1.0, 2.0), 1.0, 0.01)
         assert np.allclose(traj.outputs[0, :], 6.0 * np.sin(traj.times), atol=1e-12)
+
+
+class TestExpm:
+    def test_matches_eigendecomposition_on_every_pade_branch(self):
+        # |A|_1 = 0.01, 0.2, 0.9 and 2 select degrees 3, 5, 7 and 9;
+        # 5 selects degree 13 unscaled and 500 degree 13 after 7 squarings.
+        rng = np.random.default_rng(3)
+        for norm in (0.01, 0.2, 0.9, 2.0, 5.0, 500.0):
+            q = rng.standard_normal((50, 50))
+            a = -(q @ q.T)
+            a *= norm / np.max(np.sum(np.abs(a), axis=0))
+            lam, vec = np.linalg.eigh(a)
+            exact = (vec * np.exp(lam)) @ vec.T
+            assert np.max(np.abs(_expm(a) - exact)) < 1e-13 * np.max(np.abs(exact))
+
+    def test_closed_forms(self):
+        jordan = np.diag(np.full(3, 0.7), 1)  # nilpotent: the series stops at a^3
+        series = np.eye(4) + jordan + jordan @ jordan / 2.0 + jordan @ jordan @ jordan / 6.0
+        assert np.max(np.abs(_expm(jordan) - series)) < 1e-15
+        for angle in (0.05, 1.7, 40.0):
+            c, s = math.cos(angle), math.sin(angle)
+            rotation = _expm(np.array([[0.0, angle], [-angle, 0.0]]))
+            assert np.max(np.abs(rotation - [[c, s], [-s, c]])) < 1e-13
 
 
 class TestCoherentReference:
