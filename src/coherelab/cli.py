@@ -241,10 +241,10 @@ def _add_common(sub, *, net=True):
     if net:
         sub.add_argument("--net", required=True, metavar="FILE",
                          help="network description file")
+        sub.add_argument("--tol-cancel", type=float, default=DEFAULT_TOL_CANCEL,
+                         help="pole/zero cancellation tolerance (default %(default)g)")
     sub.add_argument("--out", metavar="FILE",
                      help="write output here instead of stdout")
-    sub.add_argument("--tol-cancel", type=float, default=DEFAULT_TOL_CANCEL,
-                     help="pole/zero cancellation tolerance (default %(default)g)")
 
 
 def _add_point(sub):

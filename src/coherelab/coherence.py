@@ -220,12 +220,19 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _padded(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
-    out = np.zeros((len(rows), width))
-    for i, coeffs in enumerate(rows):
-        out[i, : coeffs.size] = coeffs
-    out.setflags(write=False)
-    return out
+def _node_tables(nodes: Sequence[RationalTF]) -> tuple[np.ndarray, np.ndarray]:
+    """Node numerators and denominators zero-padded to one width, as
+    read-only ``(n, d+1)`` arrays, so that every node is evaluated in a
+    single Horner pass (see ``_point_values``)."""
+    width = max((max(g.num.coeffs.size, g.den.coeffs.size) for g in nodes), default=1)
+    num = np.zeros((len(nodes), width))
+    den = np.zeros((len(nodes), width))
+    for i, g in enumerate(nodes):
+        num[i, : g.num.coeffs.size] = g.num.coeffs
+        den[i, : g.den.coeffs.size] = g.den.coeffs
+    num.setflags(write=False)
+    den.setflags(write=False)
+    return num, den
 
 
 class NetworkModel:
@@ -238,11 +245,9 @@ class NetworkModel:
         "gbar",
         "assumptions",
         "node_zeros",
-        "node_poles",
         "coupling_poles",
         "gbar_poles",
         "gbar_zeros",
-        "homogeneous",
         "_num",
         "_den",
     )
@@ -269,16 +274,10 @@ class NetworkModel:
         except ExcessiveDegree:
             self.gbar = None
         self.node_zeros = tuple(zeros(g) for g in nodes)
-        self.node_poles = tuple(poles(g) for g in nodes)
         self.coupling_poles = poles(coupling)
         self.gbar_poles = poles(self.gbar) if self.gbar is not None else None
         self.gbar_zeros = zeros(self.gbar) if self.gbar is not None else None
-        self.homogeneous = all(tf_approx_equal(g, nodes[0]) for g in nodes[1:]) if nodes else True
-        # Node numerators and denominators zero-padded to one width, so that
-        # every node is evaluated in a single Horner pass (see ``_evaluate``).
-        width = max((max(g.num.coeffs.size, g.den.coeffs.size) for g in nodes), default=1)
-        self._num = _padded([g.num.coeffs for g in nodes], width)
-        self._den = _padded([g.den.coeffs for g in nodes], width)
+        self._num, self._den = _node_tables(nodes)
         self.assumptions = self._validate()
 
     @property
@@ -301,31 +300,6 @@ class NetworkModel:
             connected=self.laplacian.connected,
             coupling_pole_clashes=tuple(clashes),
         )
-
-    def with_laplacian(self, laplacian: LaplacianMatrix) -> "NetworkModel":
-        """Same dynamics on a different graph, skipping the re-derivation."""
-        if laplacian.n != self.n:
-            raise ValidationError("replacement graph has a different node count")
-        clone = object.__new__(NetworkModel)
-        clone.laplacian = laplacian
-        clone.nodes = self.nodes
-        clone.coupling = self.coupling
-        clone.gbar = self.gbar
-        clone.node_zeros = self.node_zeros
-        clone.node_poles = self.node_poles
-        clone.coupling_poles = self.coupling_poles
-        clone.gbar_poles = self.gbar_poles
-        clone.gbar_zeros = self.gbar_zeros
-        clone.homogeneous = self.homogeneous
-        clone._num = self._num
-        clone._den = self._den
-        clone.assumptions = AssumptionReport(
-            improper_nodes=self.assumptions.improper_nodes,
-            coupling_improper=self.assumptions.coupling_improper,
-            connected=laplacian.connected,
-            coupling_pole_clashes=self.assumptions.coupling_pole_clashes,
-        )
-        return clone
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +420,36 @@ def _horner(coeffs: np.ndarray, s: complex) -> np.ndarray:
     return acc
 
 
-def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
-    """Evaluate the coupling filter and all node inverses at ``s``.
+def _point_values(
+    num_table: np.ndarray, den_table: np.ndarray, s: complex, f_val: ExtComplex, tol_zero: float
+) -> _PointValues:
+    """The record at ``s`` for the nodes in ``_node_tables`` form and the
+    coupling value ``f_val``.
 
     A node polynomial counts as vanishing when its value is at most
     ``tol_zero`` times its evaluation envelope ``sum_k |c_k| |s|^k``;
     a node whose numerator and denominator both vanish raises
     ``IndeterminateAt``.
     """
-    f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
     z = complex(s)
-    num = _horner(net._num, z)
-    den = _horner(net._den, z)
-    powers = abs(z) ** np.arange(net._num.shape[1])
-    num_small = np.abs(num) <= tol_zero * np.maximum(np.abs(net._num) @ powers, 1e-300)
-    den_small = np.abs(den) <= tol_zero * np.maximum(np.abs(net._den) @ powers, 1e-300)
+    num = _horner(num_table, z)
+    den = _horner(den_table, z)
+    powers = abs(z) ** np.arange(num_table.shape[1])
+    num_small = np.abs(num) <= tol_zero * np.maximum(np.abs(num_table) @ powers, 1e-300)
+    den_small = np.abs(den) <= tol_zero * np.maximum(np.abs(den_table) @ powers, 1e-300)
     if np.any(num_small & den_small):
         raise IndeterminateAt(s)
     finite = ~(num_small | den_small)
-    inv = np.zeros(net.n, dtype=complex)
+    inv = np.zeros(num_table.shape[0], dtype=complex)
     inv[finite] = den[finite] / num[finite]
     vanished = tuple(np.flatnonzero(num_small).tolist())
     return _PointValues(s, f_val, inv, vanished, _coherent_value(inv, vanished, tol_zero))
+
+
+def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
+    """Evaluate the coupling filter and all node inverses at ``s``."""
+    f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
+    return _point_values(net._num, net._den, s, f_val, tol_zero)
 
 
 def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
@@ -570,7 +552,7 @@ def transfer_matrix_modal(
     Raises ``ValidationError`` for heterogeneous networks; used as an
     independent oracle for the linear-solve path.
     """
-    if not net.homogeneous:
+    if not all(tf_approx_equal(g, net.nodes[0]) for g in net.nodes[1:]):
         raise ValidationError("eigenbasis evaluation requires identical node dynamics")
     pt = _evaluate(net, s, tol_zero)
     if is_at_infinity(pt.f):
@@ -638,7 +620,7 @@ def nodal_multiplicity(net: NetworkModel, s: complex, *, tol: float = DEFAULT_TO
 def _envelope_bound(pt: _PointValues, lam2: float, m1: float, m2: float) -> float | None:
     """``lemma4_bound`` on already evaluated values, for connectivity ``lam2``."""
     s = pt.s
-    if m1 <= 0 or m2 <= 0:
+    if not (m1 > 0 and m2 > 0):
         raise ValidationError("envelope constants must be positive")
     if is_at_infinity(pt.f):
         raise PoleOfCoupling(s)
@@ -689,6 +671,11 @@ def lemma4_bound(
     )
 
 
+def _check_margin(margin: float) -> None:
+    if not margin >= 1.0:
+        raise ValidationError("margin must be >= 1")
+
+
 def default_bounds(
     net: NetworkModel,
     grid: FrequencyGrid,
@@ -702,8 +689,7 @@ def default_bounds(
     over the grid.  Raises ``PoleOnGrid``/``ZeroOnGrid`` when a grid
     point makes one of the suprema infinite.
     """
-    if margin < 1.0:
-        raise ValidationError("margin must be >= 1")
+    _check_margin(margin)
     m1 = 0.0
     m2 = 0.0
     for s in grid.points:
@@ -925,6 +911,8 @@ def sweep(
     the grid (points where both envelopes are finite), inflated by
     ``margin``.
     """
+    if with_bounds:
+        _check_margin(margin)
     pts = [complex(s) for s in grid.points]
     cores = map_ordered(
         lambda s: _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify), pts

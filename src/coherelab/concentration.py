@@ -10,8 +10,8 @@ the sampled coherent dynamics and closed-loop transfer matrix approach
 their limits as the network size and connectivity grow.
 
 All randomness is counter-based: every draw is addressed by an explicit
-substream key, so results are independent of evaluation order and of the
-number of worker threads.
+substream key, so results are independent of evaluation order.  Trials
+run one after another; ``COHERELAB_THREADS`` does not apply to them.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import ValidationError
 from .coherence import (
     FrequencyGrid,
-    NetworkModel,
     _distance_to_coherent,
-    _evaluate,
     _fmt,
+    _node_tables,
+    _point_values,
     _transfer,
 )
 from .network import (
@@ -39,7 +38,7 @@ from .network import (
     complete_graph,
     k_regular_ring,
 )
-from .rational import DEFAULT_TOL_ZERO, RationalTF, is_at_infinity, poles, tf_eval
+from .rational import DEFAULT_TOL_ZERO, RationalTF, is_at_infinity, poles, simplify, tf_eval
 
 __all__ = [
     "Constant",
@@ -119,6 +118,14 @@ class Uniform:
 CoefficientSpec = Union[Constant, Uniform]
 
 
+def _check_seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
 def _check_specs(specs, side: str) -> tuple:
     specs = tuple(specs)
     for k, spec in enumerate(specs):
@@ -149,10 +156,9 @@ class RandomTFModel:
             raise ValidationError("numerator needs at least one coefficient slot")
         if not self.den_specs:
             raise ValidationError("denominator needs at least one coefficient slot")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
+        if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in self.num_specs):
+            raise ValidationError("numerator is identically zero: every node gain would vanish")
+        _check_seed(self.seed)
 
 
 def _draw_tf(model: RandomTFModel, rng: np.random.Generator) -> RationalTF:
@@ -180,7 +186,7 @@ def sample_nodes(
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
-    root = model.seed if seed is None else seed
+    root = model.seed if seed is None else _check_seed(seed)
     return [
         _draw_tf(model, _substream(root, (*spawn_prefix, i))) for i in range(n)
     ]
@@ -201,6 +207,8 @@ class MonteCarlo:
     def __post_init__(self):
         if self.draws < 1:
             raise ValidationError(f"need at least one draw, got {self.draws}")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 class ExpectedDynamics:
@@ -419,25 +427,28 @@ def _trial_measurements(
     model: RandomTFModel,
     n: int,
     lap: LaplacianMatrix,
-    coupling: RationalTF,
     points: np.ndarray,
+    f_vals: list,
     ghat_vals: np.ndarray,
     seed: int,
     trial: int,
 ) -> tuple[float, float, float]:
-    """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|)."""
+    """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
+
+    ``f_vals`` holds the coupling filter's value at each grid point.
+    """
     gs = sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial))
-    net = NetworkModel(lap, gs, coupling)
+    num, den = _node_tables([simplify(g) for g in gs])
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
-    for p, s in enumerate(points):
-        pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
+    for s, f_val, ghat in zip(points, f_vals, ghat_vals):
+        pt = _point_values(num, den, s, f_val, DEFAULT_TOL_ZERO)
         max_inv = max(max_inv, pt.inv_max)
-        gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat_vals[p])
+        gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
         sup_gbar = max(sup_gbar, gbar_dev)
         t = _transfer(pt, lap.matrix)
-        sup_inc = max(sup_inc, _distance_to_coherent(t, ghat_vals[p]))
+        sup_inc = max(sup_inc, _distance_to_coherent(t, ghat))
     return sup_gbar, sup_inc, max_inv
 
 
@@ -464,8 +475,8 @@ def concentration_experiment(
     trials whose matrix deviation reached ``epsilon``.
 
     Trials are independent; each derives its random substream from
-    ``(seed, n, trial)``, so the table is reproducible regardless of
-    thread count.  Static unit coupling is the default.
+    ``(seed, n, trial)``, so the table is reproducible.  Static unit
+    coupling is the default.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
@@ -478,11 +489,11 @@ def concentration_experiment(
         raise ValidationError(f"need at least one trial, got {trials}")
     if not epsilon > 0:
         raise ValidationError(f"threshold epsilon must be positive, got {epsilon}")
+    root = model.seed if seed is None else _check_seed(seed)
     if coupling is None:
         coupling = RationalTF([1.0], [1.0])
     if expected is None:
         expected = expected_dynamics(model, "closed_form")
-    root = model.seed if seed is None else seed
 
     points = grid.points
     if expected.tf is not None and len(points):
@@ -493,18 +504,18 @@ def concentration_experiment(
                     f"grid point within {gap:.2e} of expected-dynamics pole {pole}"
                 )
     ghat_vals = expected.evaluate_many(points)
+    coupling = simplify(coupling)
+    f_vals = [tf_eval(coupling, s, tol_zero=DEFAULT_TOL_ZERO) for s in points]
 
     rows = []
     observed_max_inv = 0.0
     for n in sizes:
         lap = graph_family.build(n)
         lam2 = algebraic_connectivity(lap)
-        results = map_ordered(
-            lambda t: _trial_measurements(
-                model, n, lap, coupling, points, ghat_vals, root, t
-            ),
-            range(trials),
-        )
+        results = [
+            _trial_measurements(model, n, lap, points, f_vals, ghat_vals, root, t)
+            for t in range(trials)
+        ]
         gbar_devs = [r[0] for r in results]
         inc_sups = [r[1] for r in results]
         observed_max_inv = max(observed_max_inv, *(r[2] for r in results))

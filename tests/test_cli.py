@@ -93,6 +93,14 @@ class TestEval:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("m1,m2", [("nan", "nan"), ("nan", "3.0"), ("-1", "3.0"), ("5.0", "0")])
+    def test_envelope_constants_must_be_positive_numbers(self, capsys, netfile, m1, m2):
+        code, out, err = run(capsys, "eval", "--net", netfile(CONSENSUS_K4),
+                             "--sigma", "0.5", "--omega", "1.0", "--m1", m1, "--m2", m2)
+        assert code == 1
+        assert out == ""
+        assert "coherelab: error: envelope constants must be positive" in err
+
 
 class TestSweep:
     def test_low_frequency_is_most_coherent(self, capsys, netfile):
@@ -120,6 +128,16 @@ class TestSweep:
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[3] == ""
+
+    @pytest.mark.parametrize("margin", ["nan", "0.5", "0", "-1"])
+    def test_margin_below_one_is_rejected(self, capsys, netfile, margin):
+        code, out, err = run(
+            capsys, "sweep", "--net", netfile(GAINS_K4), "--sigma", "0.1",
+            "--points", "7", "--margin", margin,
+        )
+        assert code == 1
+        assert out == ""
+        assert "coherelab: error: margin must be >= 1" in err
 
 
 class TestConverge:
@@ -219,6 +237,36 @@ class TestConcentrate:
         )
         assert code == 1
         assert "--family" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_model_rule_is_a_validation_error(self, capsys, netfile, seed):
+        model = netfile(KS_MODEL, "ks.model")
+        code, out, err = run(
+            capsys, "concentrate", "--model", model, "--family", "complete",
+            "--sizes", "4", "--trials", "1", "--seed", seed, "--points", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"coherelab: error: seed must fit in 64 bits, got {seed}\n"
+
+    def test_all_zero_numerator_model_is_rejected(self, capsys, netfile):
+        model = netfile("num 0 0\nden 0 1\n", "zero.model")
+        code, out, err = run(
+            capsys, "concentrate", "--model", model, "--family", "complete",
+            "--sizes", "4", "--trials", "1", "--points", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "numerator is identically zero" in err
+
+    def test_tol_cancel_is_not_an_option(self, capsys, netfile):
+        model = netfile(KS_MODEL, "ks.model")
+        code, _, err = run(
+            capsys, "concentrate", "--model", model, "--family", "complete",
+            "--sizes", "4", "--trials", "1", "--tol-cancel", "1e-8",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --tol-cancel" in err
 
 
 class TestAggregate:

@@ -201,7 +201,7 @@ class TestIncoherence:
 
     def test_scaled_laplacian_value(self):
         net = consensus_pair()
-        scaled = net.with_laplacian(scale_connectivity(net.laplacian, 10.0))
+        scaled = NetworkModel(scale_connectivity(net.laplacian, 10.0), net.nodes, net.coupling)
         assert abs(incoherence(scaled, 1.0) - 1 / 21) < 1e-12
 
     def test_complete_graph_closed_form(self):
@@ -318,7 +318,7 @@ class TestLemma4Bound:
         for _ in range(60):
             net = random_network(rng, coupling=ONE)
             alpha = float(rng.uniform(5.0, 200.0))
-            net = net.with_laplacian(scale_connectivity(net.laplacian, alpha))
+            net = NetworkModel(scale_connectivity(net.laplacian, alpha), net.nodes, net.coupling)
             s = generic_probe_point(rng)
             gb = gbar_value(net, s)
             inv_max = max(
@@ -362,6 +362,14 @@ class TestDefaultBounds:
         )
         with pytest.raises(ZeroOnGrid):
             default_bounds(net, FrequencyGrid.linear(1.0, 0.0, 0.0, 1))
+
+    def test_margin_must_be_at_least_one(self):
+        grid = FrequencyGrid.linear(1.0, 0.0, 0.0, 1)
+        for margin in (math.nan, 0.5, 0.0):
+            with pytest.raises(ValidationError, match="margin must be >= 1"):
+                default_bounds(consensus_pair(), grid, margin=margin)
+            with pytest.raises(ValidationError, match="margin must be >= 1"):
+                sweep(consensus_pair(), grid, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +627,7 @@ class TestConvergenceStudy:
             (r.alpha, r.value, r.bound) for r in second
         ]
         for r in first:
-            scaled = net.with_laplacian(scale_connectivity(net.laplacian, r.alpha))
+            scaled = NetworkModel(scale_connectivity(net.laplacian, r.alpha), net.nodes, net.coupling)
             assert r.value == pytest.approx(incoherence(scaled, 0.9 + 0.4j), rel=1e-12)
 
     def test_transfer_norm_mode_at_coherent_pole(self):
@@ -814,7 +822,5 @@ class TestNetworkModel:
 
     def test_graph_swap_shares_dynamics(self):
         net = consensus_pair()
-        swapped = net.with_laplacian(scale_connectivity(net.laplacian, 4.0))
-        assert swapped.gbar is net.gbar
-        assert swapped.nodes is net.nodes
+        swapped = NetworkModel(scale_connectivity(net.laplacian, 4.0), net.nodes, net.coupling)
         assert abs(incoherence(swapped, 1.0) - 1.0 / 9.0) < 1e-12

@@ -1,6 +1,7 @@
 """Tests for random node sampling and dynamics concentration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from coherelab import (
     RationalTF,
     ValidationError,
     complete_graph,
+    gbar_value,
     tf_approx_equal,
     tf_eval,
+    transfer_matrix,
 )
 from coherelab.concentration import (
     CompleteFamily,
@@ -30,6 +33,7 @@ from coherelab.concentration import (
     concentration_experiment,
     expected_dynamics,
     sample_nodes,
+    _trial_measurements,
 )
 
 UNIT_COUPLING = RationalTF([1.0], [1.0])
@@ -62,6 +66,12 @@ class TestCoefficientSpecs:
             RandomTFModel((Constant(1.0),), (Constant(1.0),), seed=-1)
         with pytest.raises(ValidationError):
             RandomTFModel((Constant(1.0),), (Constant(1.0),), seed=2**64)
+
+    def test_model_rejects_all_zero_numerator(self):
+        with pytest.raises(ValidationError, match="numerator is identically zero"):
+            RandomTFModel((Constant(0.0), Constant(-0.0)), (Constant(0.0), Constant(1.0)))
+        # One random slot keeps the numerator alive.
+        RandomTFModel((Constant(0.0), Uniform(1.0, 2.0)), (Constant(0.0), Constant(1.0)))
 
 
 class TestSampleNodes:
@@ -102,6 +112,11 @@ class TestSampleNodes:
             np.array_equal(x.num.coeffs, y.num.coeffs)
             for x, y in zip(override, default)
         )
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_argument_follows_the_model_seed_rule(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_nodes(gain_over_integrator(), 3, seed=seed)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValidationError):
@@ -161,6 +176,9 @@ class TestExpectedDynamics:
     def test_monte_carlo_validation(self):
         with pytest.raises(ValidationError):
             MonteCarlo(0)
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                MonteCarlo(10, seed=seed)
         with pytest.raises(ValidationError):
             expected_dynamics(gain_over_integrator(), "typo")
 
@@ -264,6 +282,64 @@ class TestConcentrationExperiment:
             self.run_small(trials=0)
         with pytest.raises(ValidationError):
             self.run_small(epsilon=0.0)
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                self.run_small(seed=seed)
+
+    def test_one_trial_matches_the_public_api(self):
+        # Heterogeneous biproper nodes behind a dynamic coupling filter: the
+        # trial's padded tables must give what a NetworkModel on the same
+        # draws gives through the public point functions.
+        model = RandomTFModel(
+            (Uniform(0.5, 2.0), Constant(1.0)), (Uniform(0.5, 2.0), Constant(1.0)), seed=4
+        )
+        coupling = RationalTF([3.0], [1.0, 1.0])
+        n, seed, trial = 12, 5, 2
+        lap = complete_graph(n)
+        points = self.GRID.points
+        ghats = 0.8 / (1.0 + 0.1 * points)
+        f_vals = [tf_eval(coupling, s) for s in points]
+        sup_gbar, sup_inc, max_inv = _trial_measurements(
+            model, n, lap, points, f_vals, ghats, seed, trial
+        )
+        net = NetworkModel(lap, sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial)), coupling)
+        ones = np.ones((n, n))
+        assert sup_gbar == pytest.approx(
+            max(abs(gbar_value(net, s) - g) for s, g in zip(points, ghats)), rel=1e-15
+        )
+        assert sup_inc == pytest.approx(
+            max(np.linalg.norm(transfer_matrix(net, s) - g / n * ones, 2)
+                for s, g in zip(points, ghats)),
+            rel=1e-15,
+        )
+        assert max_inv == pytest.approx(
+            max(abs(tf_eval(RationalTF(g.den.coeffs, g.num.coeffs), s))
+                for g in net.nodes for s in points),
+            rel=1e-15,
+        )
+
+    def test_trials_build_no_network_model_and_no_symbolic_mean(self, monkeypatch):
+        calls = {"model": 0, "harmonic_mean": 0}
+        init = NetworkModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls["model"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkModel, "__init__", counting_init)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coherelab") and hasattr(module, "harmonic_mean"):
+
+                def counting_mean(*args, _mean=module.harmonic_mean, **kwargs):
+                    calls["harmonic_mean"] += 1
+                    return _mean(*args, **kwargs)
+
+                monkeypatch.setattr(module, "harmonic_mean", counting_mean)
+        self.run_small()
+        assert calls == {"model": 0, "harmonic_mean": 0}
+        # The counters are live: one model build runs one symbolic mean.
+        NetworkModel(complete_graph(2), sample_nodes(gain_over_integrator(), 2), UNIT_COUPLING)
+        assert calls == {"model": 1, "harmonic_mean": 1}
 
     def test_coherent_deviation_is_pointwise_for_heterogeneous_biproper_nodes(self):
         # The expanded harmonic mean of 30 nodes (s + a)/(s + b) is off by
