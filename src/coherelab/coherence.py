@@ -250,6 +250,8 @@ class NetworkModel:
         "gbar_zeros",
         "_num",
         "_den",
+        "_zeros",
+        "_zero_owner",
     )
 
     def __init__(
@@ -274,6 +276,9 @@ class NetworkModel:
         except ExcessiveDegree:
             self.gbar = None
         self.node_zeros = tuple(zeros(g) for g in nodes)
+        # Every node zero in one array, with the index of the node owning it.
+        self._zeros = np.concatenate([np.zeros(0, dtype=complex), *self.node_zeros])
+        self._zero_owner = np.repeat(np.arange(len(nodes)), [zs.size for zs in self.node_zeros])
         self.coupling_poles = poles(coupling)
         self.gbar_poles = poles(self.gbar) if self.gbar is not None else None
         self.gbar_zeros = zeros(self.gbar) if self.gbar is not None else None
@@ -284,16 +289,21 @@ class NetworkModel:
     def n(self) -> int:
         return self.laplacian.n
 
+    def _nodes_with_zero_near(self, s: complex, tol: float) -> np.ndarray:
+        """Sorted indices of the nodes with a zero within ``tol`` of ``s``."""
+        # bincount, not np.unique: the first np.unique call imports numpy.ma.
+        return np.flatnonzero(np.bincount(self._zero_owner[np.abs(self._zeros - s) <= tol]))
+
     def _validate(self) -> AssumptionReport:
         improper = tuple(
             i for i, g in enumerate(self.nodes) if properness(g) is Properness.IMPROPER
         )
         coupling_improper = properness(self.coupling) is Properness.IMPROPER
-        clashes: list[tuple[int, complex]] = []
-        for p in self.coupling_poles:
-            for i, zs in enumerate(self.node_zeros):
-                if zs.size and np.min(np.abs(zs - p)) <= DEFAULT_TOL_CLASSIFY:
-                    clashes.append((i, complex(p)))
+        clashes = [
+            (int(i), complex(p))
+            for p in self.coupling_poles
+            for i in self._nodes_with_zero_near(p, DEFAULT_TOL_CLASSIFY)
+        ]
         return AssumptionReport(
             improper_nodes=improper,
             coupling_improper=coupling_improper,
@@ -412,44 +422,56 @@ def _coherent_value(inv: np.ndarray, vanished: Sequence[int], tol: float) -> Ext
     return 1.0 / mean
 
 
-def _horner(coeffs: np.ndarray, s: complex) -> np.ndarray:
-    """Row-wise polynomial values; ascending coefficients along axis 1."""
-    acc = np.zeros(coeffs.shape[0], dtype=complex)
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values of every row at every point, ``(K, n)``; ascending
+    coefficients along axis 1 of ``coeffs``."""
+    acc = np.zeros((z.size, coeffs.shape[0]), dtype=complex)
+    z = z[:, None]
     for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * s + coeffs[:, k]
+        acc = acc * z + coeffs[:, k]
     return acc
 
 
 def _point_values(
-    num_table: np.ndarray, den_table: np.ndarray, s: complex, f_val: ExtComplex, tol_zero: float
-) -> _PointValues:
-    """The record at ``s`` for the nodes in ``_node_tables`` form and the
-    coupling value ``f_val``.
+    num_table: np.ndarray,
+    den_table: np.ndarray,
+    points: Sequence[complex],
+    f_vals: Sequence[ExtComplex],
+    tol_zero: float,
+) -> list[_PointValues]:
+    """One record per point for the nodes in ``_node_tables`` form and the
+    coupling values ``f_vals``, from one Horner pass over all points.
 
     A node polynomial counts as vanishing when its value is at most
     ``tol_zero`` times its evaluation envelope ``sum_k |c_k| |s|^k``;
     a node whose numerator and denominator both vanish raises
-    ``IndeterminateAt``.
+    ``IndeterminateAt`` at the first such point.
     """
-    z = complex(s)
+    z = np.asarray(points, dtype=complex).reshape(-1)
     num = _horner(num_table, z)
     den = _horner(den_table, z)
-    powers = abs(z) ** np.arange(num_table.shape[1])
-    num_small = np.abs(num) <= tol_zero * np.maximum(np.abs(num_table) @ powers, 1e-300)
-    den_small = np.abs(den) <= tol_zero * np.maximum(np.abs(den_table) @ powers, 1e-300)
-    if np.any(num_small & den_small):
-        raise IndeterminateAt(s)
+    powers = np.abs(z)[:, None] ** np.arange(num_table.shape[1])
+    num_small = np.abs(num) <= tol_zero * np.maximum(powers @ np.abs(num_table).T, 1e-300)
+    den_small = np.abs(den) <= tol_zero * np.maximum(powers @ np.abs(den_table).T, 1e-300)
+    indeterminate = np.flatnonzero(np.any(num_small & den_small, axis=1))
+    if indeterminate.size:
+        raise IndeterminateAt(points[indeterminate[0]])
     finite = ~(num_small | den_small)
-    inv = np.zeros(num_table.shape[0], dtype=complex)
+    inv = np.zeros(num.shape, dtype=complex)
     inv[finite] = den[finite] / num[finite]
-    vanished = tuple(np.flatnonzero(num_small).tolist())
-    return _PointValues(s, f_val, inv, vanished, _coherent_value(inv, vanished, tol_zero))
+    records = []
+    for k, (s, f_val) in enumerate(zip(points, f_vals)):
+        vanished = tuple(np.flatnonzero(num_small[k]).tolist())
+        records.append(
+            _PointValues(s, f_val, inv[k], vanished, _coherent_value(inv[k], vanished, tol_zero))
+        )
+    return records
 
 
 def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
     """Evaluate the coupling filter and all node inverses at ``s``."""
     f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
-    return _point_values(net._num, net._den, s, f_val, tol_zero)
+    return _point_values(net._num, net._den, [s], [f_val], tol_zero)[0]
 
 
 def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
@@ -478,15 +500,41 @@ def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
     return t, float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1))
 
 
-def _transfer(pt: _PointValues, laplacian: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """``_solve``, warning with ``IllConditionedWarning`` above ``cond_limit``."""
-    t, cond = _solve(pt, laplacian)
-    if cond > cond_limit:
-        warnings.warn(
-            f"transfer-matrix solve at s = {pt.s} has condition estimate {cond:.3e}",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
+def _transfer_stack(
+    pts: Sequence[_PointValues], laplacian: np.ndarray, cond_limit: float = COND_LIMIT
+) -> np.ndarray:
+    """Closed-loop transfer matrices at the records, as one ``(K, n, n)``
+    stack, with an ``IllConditionedWarning`` for each point whose condition
+    estimate exceeds ``cond_limit``.
+
+    Points where every gain and ``f`` are finite are solved together by
+    inverting the stack ``f_k L + diag(1/g_i(s_k))``; the others are
+    solved by ``_solve`` (an identity stands in for them in the stack).
+    Errors and warnings come in point order, as solving one point after
+    another gives them.
+    """
+    n = laplacian.shape[0]
+    stacked = np.array([not pt.vanished and not is_at_infinity(pt.f) for pt in pts])
+    f = np.array([pt.f if ok else 0.0 for pt, ok in zip(pts, stacked)], dtype=complex)
+    a = f[:, None, None] * laplacian
+    diag = np.arange(n)
+    a[:, diag, diag] += np.array([pt.inv if ok else np.ones(n) for pt, ok in zip(pts, stacked)])
+    try:
+        t = np.linalg.inv(a)  # one LAPACK gesv per point against I, as in _solve
+        cond = np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(t, 1, axis=(1, 2))
+    except np.linalg.LinAlgError:
+        # Some point is singular: solving one point at a time finds it.
+        t, cond, stacked[:] = np.empty_like(a), np.empty(len(pts)), False
+    for k, pt in enumerate(pts):
+        if not stacked[k]:
+            t[k], cond[k] = _solve(pt, laplacian)
+        if cond[k] > cond_limit:
+            warnings.warn(
+                f"transfer-matrix solve at s = {pt.s} has condition estimate "
+                f"{float(cond[k]):.3e}",
+                IllConditionedWarning,
+                stacklevel=3,
+            )
     return t
 
 
@@ -513,7 +561,7 @@ def transfer_matrix(
     ``IllConditionedWarning`` when the solve's condition estimate
     exceeds ``cond_limit``.
     """
-    return _transfer(_evaluate(net, s, tol_zero), net.laplacian.matrix, cond_limit)
+    return _transfer_stack([_evaluate(net, s, tol_zero)], net.laplacian.matrix, cond_limit)[0]
 
 
 def transfer_matrix_direct(
@@ -605,11 +653,7 @@ def effective_connectivity(net: NetworkModel, s: complex, *, tol_zero: float = 1
 
 def nodal_multiplicity(net: NetworkModel, s: complex, *, tol: float = DEFAULT_TOL_CLASSIFY) -> int:
     """Number of nodes whose gain vanishes at ``s`` (zero within ``tol``)."""
-    count = 0
-    for zs in net.node_zeros:
-        if zs.size and np.min(np.abs(zs - s)) <= tol:
-            count += 1
-    return count
+    return int(net._nodes_with_zero_near(s, tol).size)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,15 +1228,10 @@ def rhp_uniform_check(
             return UniformityVerdict(
                 False, f"coherent mean has a pole at {complex(p)} (not strictly stable)"
             )
-    rhp_zeros: list[complex] = []
-    for zs in net.node_zeros:
-        for z in zs:
-            if z.real >= -tol_classify:
-                rhp_zeros.append(complex(z))
-    for z in rhp_zeros:
+    for z in net._zeros[net._zeros.real >= -tol_classify]:
         if nodal_multiplicity(net, z, tol=tol_classify) >= 2:
             return UniformityVerdict(
-                False, f"multiple nodes share a right-half-plane zero near {z}"
+                False, f"multiple nodes share a right-half-plane zero near {complex(z)}"
             )
     return UniformityVerdict(True)
 
@@ -1217,12 +1256,11 @@ def _gain_linearization_scale(net: NetworkModel, z: complex, tol: float) -> np.n
     locating where the closed loop loses coherence.
     """
     out = np.zeros(net.n, dtype=float)
+    vanishing = set(net._nodes_with_zero_near(z, tol).tolist())
     for i, g in enumerate(net.nodes):
-        zs = net.node_zeros[i]
-        vanishes = bool(zs.size and np.min(np.abs(zs - z)) <= tol)
         num_val = npoly.polyval(z, g.num.coeffs)
         den_val = npoly.polyval(z, g.den.coeffs)
-        if vanishes:
+        if i in vanishing:
             dnum = npoly.polyval(z, npoly.polyder(g.num.coeffs))
             mag = abs(dnum / den_val) if den_val != 0 else 0.0
         else:

@@ -11,7 +11,11 @@ their limits as the network size and connectivity grow.
 
 All randomness is counter-based: every draw is addressed by an explicit
 substream key, so results are independent of evaluation order.  Trials
-run one after another; ``COHERELAB_THREADS`` does not apply to them.
+run one after another; ``COHERELAB_THREADS`` does not apply to them.  A
+trial draws its nodes straight into padded coefficient tables (the same
+numbers ``sample_nodes`` gives), evaluates every node at a chunk of grid
+points in one pass, and solves and norms the chunk's closed-loop systems
+as one stack; chunks are sized by a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -24,21 +28,23 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .coherence import (
-    FrequencyGrid,
-    _distance_to_coherent,
-    _fmt,
-    _node_tables,
-    _point_values,
-    _transfer,
-)
+from .coherence import FrequencyGrid, _fmt, _point_values, _transfer_stack
 from .network import (
     LaplacianMatrix,
     algebraic_connectivity,
     complete_graph,
     k_regular_ring,
 )
-from .rational import DEFAULT_TOL_ZERO, RationalTF, is_at_infinity, poles, simplify, tf_eval
+from .rational import (
+    DEFAULT_TOL_ZERO,
+    MAX_DEGREE,
+    RationalTF,
+    _trim_rows,
+    is_at_infinity,
+    poles,
+    simplify,
+    tf_eval,
+)
 
 __all__ = [
     "Constant",
@@ -105,6 +111,8 @@ class Uniform:
             raise ValidationError("uniform bounds must be finite")
         if not lo < hi:
             raise ValidationError(f"uniform needs lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"uniform width hi - lo must be finite, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -136,6 +144,10 @@ def _check_specs(specs, side: str) -> tuple:
     return specs
 
 
+def _identically_zero(specs: tuple) -> bool:
+    return all(isinstance(spec, Constant) and spec.value == 0.0 for spec in specs)
+
+
 @dataclass(frozen=True)
 class RandomTFModel:
     """A rational transfer function with per-coefficient distributions.
@@ -156,8 +168,10 @@ class RandomTFModel:
             raise ValidationError("numerator needs at least one coefficient slot")
         if not self.den_specs:
             raise ValidationError("denominator needs at least one coefficient slot")
-        if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in self.num_specs):
+        if _identically_zero(self.num_specs):
             raise ValidationError("numerator is identically zero: every node gain would vanish")
+        if _identically_zero(self.den_specs):
+            raise ValidationError("denominator is identically zero: no node gain is defined")
         _check_seed(self.seed)
 
 
@@ -182,7 +196,10 @@ def sample_nodes(
 
     Draw ``i`` uses the substream keyed by ``spawn_prefix + (i,)``, so the
     result is deterministic given ``(model, n, seed)`` and the first ``m``
-    draws agree for every ``n >= m`` (prefix stability).
+    draws agree for every ``n >= m`` (prefix stability).  Each draw takes
+    its numerator slots, then its denominator slots, from its substream.
+    The concentration experiment reads the same coefficients from that
+    substream without building a ``RationalTF`` per draw.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
@@ -423,6 +440,65 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
     return float(sup_den / model.num_specs[0].lo)
 
 
+# Bytes of one (K, n, n) complex stack: a trial solves and norms its grid
+# points in chunks of at most this size (one point where a single n x n
+# system is larger).  A few stacks are alive at once, so a small budget
+# keeps the peak memory near that of one point at a time; past n ~ 100 the
+# LAPACK work outweighs the per-chunk overhead anyway.
+_STACK_BYTES = 1 << 18
+
+
+def _draw_tables(
+    model: RandomTFModel, n: int, seed: int, spawn_prefix: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node tables of ``n`` draws, bit for bit those of ``_node_tables`` on
+    ``simplify`` of each ``sample_nodes(model, n, seed, spawn_prefix=...)`` draw.
+
+    Node ``i`` takes substream ``spawn_prefix + (i,)``'s draws in slot
+    order (numerator, then denominator) and is normalized as
+    ``RationalTF`` normalizes it: trimmed, divided by the leading
+    denominator coefficient, trimmed again.  Only a node whose numerator
+    is not a nonzero constant and whose denominator is not constant can
+    change under ``simplify``; only those nodes, and those ``RationalTF``
+    rejects, are built and simplified one by one.
+    """
+    sides = (model.num_specs, model.den_specs)
+    raw = np.zeros((n, 2, max(map(len, sides))))
+    drawn = []
+    for side, specs in enumerate(sides):
+        for k, spec in enumerate(specs):
+            if isinstance(spec, Constant):
+                raw[:, side, k] = spec.value
+            else:
+                drawn.append((side, k, spec))
+    if drawn:
+        # Generator.uniform(lo, hi) computes lo + (hi - lo) * random().
+        unit = np.array([_substream(seed, (*spawn_prefix, i)).random(len(drawn)) for i in range(n)])
+        lo = np.array([spec.lo for _, _, spec in drawn])
+        hi = np.array([spec.hi for _, _, spec in drawn])
+        rows, cols = zip(*[(side, k) for side, k, _ in drawn])
+        raw[:, rows, cols] = lo + (hi - lo) * unit
+
+    tables, degree = _trim_rows(raw)
+    lead = np.where(degree[:, 1] < 0, 1.0, tables[np.arange(n), 1, degree[:, 1]])
+    with np.errstate(over="ignore"):  # RationalTF rejects those rows below
+        scaled = tables / lead[:, None, None]
+    rejected = (
+        (degree[:, 1] < 0)
+        | (degree.max(axis=1) > MAX_DEGREE)
+        | ~np.isfinite(scaled).all(axis=(1, 2))
+    )
+    tables, degree = _trim_rows(scaled)
+    for i in np.flatnonzero(rejected | ((degree[:, 0] != 0) & (degree[:, 1] >= 1))):
+        g = simplify(RationalTF(*raw[i]))
+        tables[i] = 0.0
+        tables[i, 0, : g.num.coeffs.size] = g.num.coeffs
+        tables[i, 1, : g.den.coeffs.size] = g.den.coeffs
+        degree[i] = g.num.coeffs.size - 1, g.den.coeffs.size - 1
+    used = max(int(degree.max()), 0) + 1
+    return tables[:, 0, :used], tables[:, 1, :used]
+
+
 def _trial_measurements(
     model: RandomTFModel,
     n: int,
@@ -435,20 +511,25 @@ def _trial_measurements(
 ) -> tuple[float, float, float]:
     """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
 
-    ``f_vals`` holds the coupling filter's value at each grid point.
+    ``f_vals`` holds the coupling filter's value at each grid point.  The
+    grid is taken in chunks: each chunk's points are evaluated in one pass,
+    solved as one stack and normed by one stacked SVD.
     """
-    gs = sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial))
-    num, den = _node_tables([simplify(g) for g in gs])
+    num, den = _draw_tables(model, n, seed, (n, trial))
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
-    for s, f_val, ghat in zip(points, f_vals, ghat_vals):
-        pt = _point_values(num, den, s, f_val, DEFAULT_TOL_ZERO)
-        max_inv = max(max_inv, pt.inv_max)
-        gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
-        sup_gbar = max(sup_gbar, gbar_dev)
-        t = _transfer(pt, lap.matrix)
-        sup_inc = max(sup_inc, _distance_to_coherent(t, ghat))
+    step = max(1, _STACK_BYTES // (16 * n * n))
+    for start in range(0, len(points), step):
+        chunk = slice(start, start + step)
+        pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
+        for pt, ghat in zip(pts, ghat_vals[chunk]):
+            max_inv = max(max_inv, pt.inv_max)
+            gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
+            sup_gbar = max(sup_gbar, gbar_dev)
+        t = _transfer_stack(pts, lap.matrix)
+        t -= (ghat_vals[chunk] / n)[:, None, None]
+        sup_inc = max(sup_inc, float(np.linalg.svd(t, compute_uv=False).max()))
     return sup_gbar, sup_inc, max_inv
 
 

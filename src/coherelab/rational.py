@@ -123,6 +123,18 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+def _trim_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors along the last axis, each trimmed as
+    ``Polynomial`` trims one at the default tolerance, and their degrees
+    (-1 for a zero vector).  Trimmed slots hold +0.0; no degree limit is
+    enforced."""
+    mag = np.abs(rows)
+    significant = mag > DEFAULT_TOL_ZERO * mag.max(axis=-1, keepdims=True)
+    degree = rows.shape[-1] - 1 - np.argmax(significant[..., ::-1], axis=-1)
+    degree[~significant.any(axis=-1)] = -1
+    return np.where(np.arange(rows.shape[-1]) <= degree[..., None], rows, 0.0), degree
+
+
 def poly_eval(p: Polynomial, s: complex) -> complex:
     """Evaluate ``p`` at ``s`` by Horner's scheme."""
     return complex(npoly.polyval(complex(s), p.coeffs))

@@ -259,6 +259,18 @@ class TestConcentrate:
         assert out == ""
         assert "numerator is identically zero" in err
 
+    def test_all_zero_denominator_model_is_rejected(self, capsys, netfile):
+        model = netfile("num 1\nden 0 0\n", "zero.model")
+        code, out, err = run(
+            capsys, "concentrate", "--model", model, "--family", "complete",
+            "--sizes", "4", "--trials", "1", "--points", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"coherelab: error: {model}: denominator is identically zero: no node gain is defined\n"
+        )
+
     def test_tol_cancel_is_not_an_option(self, capsys, netfile):
         model = netfile(KS_MODEL, "ks.model")
         code, _, err = run(

@@ -279,6 +279,19 @@ class TestNodalMultiplicity:
         )
         assert nodal_multiplicity(shared, -1.0) == 2
 
+    def test_counts_nodes_not_zeros(self):
+        # Node 0 has a double zero at -1, node 1 a simple one, node 2 none.
+        nodes = [
+            RationalTF([1.0, 2.0, 1.0], [8.0, 12.0, 6.0, 1.0]),
+            RationalTF([1.0, 1.0], [3.0, 1.0]),
+            RationalTF([1.0], [1.0, 1.0]),
+        ]
+        net = NetworkModel(complete_graph(3, 1.0), nodes, RationalTF([1.0], [1.0, 1.0]))
+        assert nodal_multiplicity(net, -1.0) == 2
+        assert nodal_multiplicity(net, -1.0 + 1e-7j) == 2
+        assert nodal_multiplicity(net, -1.1) == 0
+        assert net.assumptions.coupling_pole_clashes == ((0, -1.0 + 0j), (1, -1.0 + 0j))
+
 
 # ---------------------------------------------------------------------------
 # Bound

@@ -2,9 +2,12 @@
 
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coherelab import (
     FrequencyGrid,
@@ -33,8 +36,13 @@ from coherelab.concentration import (
     concentration_experiment,
     expected_dynamics,
     sample_nodes,
+    _STACK_BYTES,
+    _draw_tables,
     _trial_measurements,
 )
+from coherelab.coherence import PoleOfCoupling, SingularSystem, _node_tables
+from coherelab.errors import IllConditionedWarning
+from coherelab.rational import AT_INFINITY, ExcessiveDegree, simplify
 
 UNIT_COUPLING = RationalTF([1.0], [1.0])
 
@@ -72,6 +80,15 @@ class TestCoefficientSpecs:
             RandomTFModel((Constant(0.0), Constant(-0.0)), (Constant(0.0), Constant(1.0)))
         # One random slot keeps the numerator alive.
         RandomTFModel((Constant(0.0), Uniform(1.0, 2.0)), (Constant(0.0), Constant(1.0)))
+
+    def test_model_rejects_all_zero_denominator(self):
+        with pytest.raises(ValidationError, match="denominator is identically zero"):
+            RandomTFModel((Constant(1.0),), (Constant(0.0), Constant(-0.0)))
+        RandomTFModel((Constant(1.0),), (Constant(0.0), Uniform(1.0, 2.0)))
+
+    def test_uniform_width_must_be_finite(self):
+        with pytest.raises(ValidationError, match="width"):
+            Uniform(-1e308, 1e308)
 
 
 class TestSampleNodes:
@@ -121,6 +138,165 @@ class TestSampleNodes:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValidationError):
             sample_nodes(gain_over_integrator(), 0)
+
+
+_SLOT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-14]).map(Constant),
+    st.floats(-3.0, 3.0).map(Constant),
+    st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 3.0)).map(lambda b: Uniform(b[0], b[0] + b[1])),
+)
+
+
+def _outcome(build):
+    """The tables' shapes and bytes, or the error that building them raised."""
+    try:
+        return [(table.shape, table.tobytes()) for table in build()]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _tables_outcomes(model, n, seed, prefix):
+    drawn = _outcome(lambda: _draw_tables(model, n, seed, prefix))
+    sampled = _outcome(lambda: _node_tables(
+        [simplify(g) for g in sample_nodes(model, n, seed=seed, spawn_prefix=prefix)]
+    ))
+    return drawn, sampled
+
+
+class TestTrialTables:
+    """A trial draws straight into coefficient tables; they must equal the
+    tables of its simplified ``sample_nodes`` draws bit for bit."""
+
+    @given(
+        num=st.lists(_SLOT, min_size=1, max_size=4),
+        den=st.lists(_SLOT, min_size=1, max_size=4),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # A factor s that simplification cancels: k s / s.
+    @example(num=[Constant(0.0), Uniform(1.0, 2.0)], den=[Constant(0.0), Constant(1.0)],
+             n=5, seed=3)
+    # Mixed degrees, a -0.0 slot and a leading coefficient that trimming drops.
+    @example(num=[Uniform(0.5, 1.0), Constant(-0.0), Constant(1e-14)],
+             den=[Uniform(1.0, 2.0), Constant(1.0), Constant(0.0), Uniform(-1.0, 1.0)], n=4, seed=8)
+    # A subnormal leading denominator coefficient: RationalTF rejects the node.
+    @example(num=[Constant(0.0), Constant(1.0)], den=[Constant(5e-324)], n=1, seed=0)
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_tables_match_simplified_samples(self, num, den, n, seed):
+        if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in num):
+            num = [*num, Constant(1.0)]
+        if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in den):
+            den = [*den, Constant(1.0)]
+        drawn, sampled = _tables_outcomes(RandomTFModel(tuple(num), tuple(den)), n, seed, (n, 2))
+        assert drawn == sampled
+
+    def test_nodes_that_rational_tf_rejects_raise_as_sampling_does(self):
+        model = RandomTFModel((Constant(1.0),) * 65 + (Uniform(1.0, 2.0),), (Constant(1.0),))
+        drawn, sampled = _tables_outcomes(model, 2, 0, ())
+        assert drawn == sampled == (ExcessiveDegree, str(sampled[1]))
+
+    def test_trial_builds_no_transfer_function_and_one_stack_per_chunk(self, monkeypatch):
+        calls = {"RationalTF": 0, "inv": 0, "solve": 0, "svd": 0}
+        init = RationalTF.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls["RationalTF"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalTF, "__init__", counting_init)
+        for name in ("inv", "solve", "svd"):
+
+            def counting(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        n = 60
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 12).points
+        _trial_measurements(gain_over_integrator(), n, complete_graph(n), points,
+                            [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
+        chunks = math.ceil(len(points) / (_STACK_BYTES // (16 * n * n)))
+        assert chunks > 1
+        assert calls == {"RationalTF": 0, "inv": chunks, "solve": 0, "svd": chunks}
+
+    def test_points_with_vanished_gains_share_a_chunk_with_stacked_points(self):
+        # Every gain (s - 1)/(s + a) vanishes at s = 1, where T is zero.
+        model = RandomTFModel(
+            (Constant(-1.0), Constant(1.0)), (Uniform(0.5, 2.0), Constant(1.0)), seed=4
+        )
+        n, seed, trial = 7, 2, 1
+        lap = complete_graph(n)
+        points = np.array([0.5 + 1.0j, 1.0 + 0.0j, 2.0 + 0.5j])
+        ghats = np.array([0.3 + 0.1j, 0.2, 0.9 - 0.2j])
+        sup_gbar, sup_inc, max_inv = _trial_measurements(
+            model, n, lap, points, [1.0 + 0j] * 3, ghats, seed, trial
+        )
+        net = NetworkModel(lap, sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial)),
+                           UNIT_COUPLING)
+        assert not transfer_matrix(net, 1.0).any()
+        assert max_inv == math.inf
+        assert sup_gbar == pytest.approx(
+            max(abs(gbar_value(net, s) - g) for s, g in zip(points, ghats)), rel=1e-15
+        )
+        assert sup_inc == pytest.approx(
+            max(np.linalg.norm(transfer_matrix(net, s) - g / n * np.ones((n, n)), 2)
+                for s, g in zip(points, ghats)),
+            rel=1e-15,
+        )
+
+    def test_ill_conditioned_points_warn_once_each_as_transfer_matrix_does(self):
+        # Gains near 1e14 leave f L + diag(1/g) close to the singular L
+        # wherever f is not tiny.
+        model = RandomTFModel((Uniform(1e14, 2e14),), (Constant(1.0),), seed=3)
+        n, seed = 6, 4
+        lap = complete_graph(n)
+        points = np.array([0.5 + 0.5j, 0.5 + 1.0j, 0.5 + 2.0j])
+        f_vals = [1e-16 + 0j, 1.0 + 0j, 2.0 + 0j]
+        nodes = sample_nodes(model, n, seed=seed, spawn_prefix=(n, 0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _trial_measurements(model, n, lap, points, f_vals, np.ones(3), seed, 0)
+            for s, f in zip(points, f_vals):
+                transfer_matrix(NetworkModel(lap, nodes, RationalTF([f.real], [1.0])), s)
+        messages = [str(w.message) for w in caught if w.category is IllConditionedWarning]
+        assert len(messages) == 4
+        assert messages[:2] == messages[2:]
+        assert f"at s = {points[1]} has condition estimate" in messages[0]
+
+    @pytest.mark.parametrize("pole_first", [True, False])
+    def test_failures_surface_at_the_first_failing_point(self, pole_first):
+        # Two k/s nodes at s = 0 give the exactly singular system L; f has a
+        # pole elsewhere.
+        points = np.array([0.5 + 1.0j, 0.0 + 0.0j, 0.5 + 2.0j])
+        f_vals = [1.0 + 0j, 1.0 + 0j, AT_INFINITY]
+        if pole_first:
+            points, f_vals = points[::-1], f_vals[::-1]
+        with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
+            _trial_measurements(gain_over_integrator(), 2, complete_graph(2), points,
+                                f_vals, np.ones(3), 3, 0)
+        assert type(caught.value) is (PoleOfCoupling if pole_first else SingularSystem)
+        assert caught.value.s == (0.5 + 2.0j if pole_first else 0.0)
+
+    def test_trial_memory_is_bounded_by_the_chunk_budget(self):
+        # 40 points at n = 150 are 14.4 MB per (K, n, n) stack; a trial
+        # must hold its grid a chunk at a time (a chunk is one point where
+        # a single system exceeds the budget), with a few chunk-sized
+        # arrays alive at once.
+        n = 150
+        points = FrequencyGrid.linear(0.5, 0.1, 5.0, 40).points
+        chunk = max(_STACK_BYTES, 16 * n * n)
+        assert len(points) * 16 * n * n > 30 * chunk
+        args = (gain_over_integrator(), n, complete_graph(n), points,
+                [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
+        _trial_measurements(*args)  # one-off allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            _trial_measurements(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * chunk
 
 
 class TestExpectedDynamics:
