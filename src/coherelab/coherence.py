@@ -19,6 +19,7 @@ for the regimes where coherence is and is not guaranteed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -484,19 +485,26 @@ def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
     if is_at_infinity(pt.f):
         raise PoleOfCoupling(pt.s)
     n = pt.inv.size
-    mask = np.ones(n, dtype=bool)
-    mask[list(pt.vanished)] = False
-    kept = np.flatnonzero(mask)
-    t = np.zeros((n, n), dtype=complex)
-    if kept.size == 0:
-        return t, 1.0
-    block = np.ix_(kept, kept)
-    a = np.diag(pt.inv[kept]) + pt.f * laplacian[block]
+    if pt.vanished:
+        mask = np.ones(n, dtype=bool)
+        mask[list(pt.vanished)] = False
+        kept = np.flatnonzero(mask)
+        t = np.zeros((n, n), dtype=complex)
+        if kept.size == 0:
+            return t, 1.0
+        block = np.ix_(kept, kept)
+        a = np.diag(pt.inv[kept]) + pt.f * laplacian[block]
+    else:
+        a = complex(pt.f) * laplacian
+        a.flat[:: n + 1] += pt.inv
     try:
-        x = np.linalg.solve(a, np.eye(kept.size, dtype=complex))
+        x = np.linalg.inv(a)  # gesv against I: the bits of solve(a, I)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(pt.s) from exc
-    t[block] = x
+    if pt.vanished:
+        t[block] = x
+    else:
+        t = x
     return t, float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1))
 
 
@@ -542,8 +550,129 @@ def _coherent_matrix(gbar: complex, n: int) -> np.ndarray:
     return (gbar / n) * np.ones((n, n), dtype=complex)
 
 
-def _distance_to_coherent(t: np.ndarray, gbar: complex) -> float:
-    return float(np.linalg.norm(t - _coherent_matrix(gbar, t.shape[0]), 2))
+# Below this size one full SVD is cheaper than the Golub-Kahan iteration, or
+# close to it.  Per norm of a ring network's T on a 2-core x86 VM, BLAS on one
+# thread (SVD / Golub-Kahan): n = 50 0.45 / 0.81 ms, n = 100 1.7 / 0.9 ms,
+# n = 150 4.7 / 1.0 ms, n = 300 20 / 1.1 ms.
+_LANCZOS_MIN_N = 128
+# Golub-Kahan steps before the full SVD takes over.
+_LANCZOS_MAX_STEPS = 40
+# Relative residual at which the top Ritz value is accepted.
+_LANCZOS_RTOL = 1e-13
+
+
+def _svd_norm(t: np.ndarray, shift: complex) -> float:
+    """``sigma_max(T - shift/n 11^T)`` from a full SVD of the shifted matrix."""
+    x = t - _coherent_matrix(shift, t.shape[0]) if shift else t
+    return float(np.linalg.svd(x, compute_uv=False).max())
+
+
+@functools.lru_cache(maxsize=8)
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed complex unit vector every Golub-Kahan run of size ``n`` starts from."""
+    v = np.array([1.0, 1j]) @ np.random.default_rng(20050101).standard_normal((2, n))
+    v /= np.linalg.norm(v)
+    v.setflags(write=False)
+    return v
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``w`` minus its projection on the orthonormal rows of ``basis``
+    (classical Gram-Schmidt, applied twice)."""
+    for _ in range(2):
+        w = w - (basis.conj() @ w) @ basis
+    return w
+
+
+def _golub_kahan_norm(t: np.ndarray, shift: complex) -> float:
+    """``sigma_max(X)`` for ``X = T - shift/n 11^T`` by Golub-Kahan-Lanczos
+    bidiagonalization; see ``_spectral_norm``."""
+    n = t.shape[0]
+    c = shift / n
+    c_conj = np.conj(c)
+    steps = _LANCZOS_MAX_STEPS
+    v = np.empty((steps + 1, n), dtype=complex)
+    u = np.empty((steps, n), dtype=complex)
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    v[0] = _start_vector(n)
+    with np.errstate(all="ignore"):  # a non-finite T goes to the SVD, silently
+        w = t @ v[0] - c * v[0].sum()
+    alpha[0] = np.linalg.norm(w)
+    if not 0.0 < alpha[0] < math.inf:
+        return _svd_norm(t, shift)
+    u[0] = w / alpha[0]
+    for k in range(steps):
+        # X^H u_k = conj(conj(u_k) @ T) - conj(c) (sum u_k) 1
+        w = (u[k].conj() @ t).conj() - c_conj * u[k].sum() - alpha[k] * v[k]
+        w = _orthogonalize(w, v[: k + 1])
+        beta[k] = np.linalg.norm(w)
+        b = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
+        left, sv, _ = np.linalg.svd(b)
+        if beta[k] * abs(left[k, 0]) <= _LANCZOS_RTOL * sv[0]:
+            return float(sv[0])
+        if k + 1 == steps or not beta[k] < math.inf:
+            break
+        v[k + 1] = w / beta[k]
+        w = t @ v[k + 1] - c * v[k + 1].sum() - beta[k] * u[k]
+        w = _orthogonalize(w, u[: k + 1])
+        a = np.linalg.norm(w)
+        if a == 0.0:
+            # X V_{k+2} = U_{k+1} [B_k, beta_k e_k] and its adjoint hold
+            # exactly: the singular values of that block are X's.
+            b = np.hstack([b, np.zeros((k + 1, 1))])
+            b[k, k + 1] = beta[k]
+            return float(np.linalg.svd(b, compute_uv=False)[0])
+        if not a < math.inf:
+            break
+        alpha[k + 1] = a
+        u[k + 1] = w / a
+    return _svd_norm(t, shift)
+
+
+def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float | np.ndarray:
+    """Largest singular value of ``X = T - shift/n 11^T``, the shifted
+    matrix never formed; a ``(K, n, n)`` stack (no shift) gives the
+    largest singular value of each of its matrices.
+
+    Below ``_LANCZOS_MIN_N`` this is a full SVD.  Above it,
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
+    (Golub & Kahan 1965) builds orthonormal ``U_k``, ``V_k`` and an upper
+    bidiagonal ``B_k`` with ``X V_k = U_k B_k`` and
+    ``X^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T``, from a fixed seeded
+    start vector, so the result does not depend on threads or call order.
+    The top singular triplet ``(sigma, p, q)`` of ``B_k`` gives unit
+    vectors ``U_k p``, ``V_k q`` with ``X V_k q = sigma U_k p`` and
+    ``|X^H U_k p - sigma V_k q| = |beta_k p_k|``.
+
+    *Lower bound.*  ``B_k = U_k^H X V_k`` is a compression of ``X``, so
+    ``sigma <= sigma_max(X)``.  *Certificate.*  The residual puts a
+    singular value of ``X`` within ``|beta_k p_k|`` of ``sigma``; the
+    iteration stops once that is at most ``1e-13 sigma``.  The top Ritz
+    value climbs towards ``sigma_max`` unless the start vector is nearly
+    orthogonal to the top right singular vector, which a fixed random
+    start makes improbable; so the value returned is a lower bound that
+    lies within 1e-13 relative of ``sigma_max``.  An exact breakdown
+    (``beta_k`` or ``alpha_{k+1}`` zero) means the Krylov spaces are
+    invariant and the Ritz values are exact singular values.  A zero
+    ``X v_1`` (the zero matrix among others), a non-finite value, or no
+    certificate after ``_LANCZOS_MAX_STEPS`` steps (a tight cluster at
+    the top of the spectrum) falls back to the full SVD.
+
+    The products ``T v`` and ``shift/n (sum v)`` each carry a rounding
+    error of order ``eps |T|``, so where ``X`` is far smaller than ``T``
+    (strong coupling) the value agrees with the SVD of the formed
+    matrix to ``eps |T|`` absolute; the solve that produced ``T`` leaves
+    larger errors than that in it.
+    """
+    n = t.shape[-1]
+    if t.ndim == 3:
+        if n < _LANCZOS_MIN_N:
+            return np.linalg.svd(t, compute_uv=False).max(axis=1)
+        return np.array([_golub_kahan_norm(tk, 0) for tk in t])
+    if n < _LANCZOS_MIN_N:
+        return _svd_norm(t, shift)
+    return _golub_kahan_norm(t, shift)
 
 
 def transfer_matrix(
@@ -639,7 +768,7 @@ def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> fl
     if is_at_infinity(pt.gbar):
         raise PoleOfCoherent(s)
     t, _ = _solve(pt, net.laplacian.matrix)
-    return _distance_to_coherent(t, pt.gbar)
+    return _spectral_norm(t, pt.gbar)
 
 
 def _effective_connectivity(f_val: ExtComplex, laplacian: LaplacianMatrix) -> float:
@@ -859,10 +988,10 @@ def _point_core(
         status = STATUS_OK
     if t is None:
         return _PointCore(status, pt, multiplicity)
-    norm_t = float(np.linalg.norm(t, 2))
+    norm_t = _spectral_norm(t)
     inc = None
     if status != STATUS_POLE_GBAR and not is_at_infinity(pt.gbar):
-        inc = _distance_to_coherent(t, complex(pt.gbar))
+        inc = _spectral_norm(t, complex(pt.gbar))
     return _PointCore(status, pt, multiplicity, norm_t, inc, t if keep_transfer else None)
 
 
@@ -1059,10 +1188,10 @@ def convergence_study(
                 return ConvergenceRow(alpha, math.inf, None, kind)
             raise
         if kind == "norm_T":
-            return ConvergenceRow(alpha, float(np.linalg.norm(t, 2)), None, kind)
+            return ConvergenceRow(alpha, _spectral_norm(t), None, kind)
         if is_at_infinity(pt.gbar):
             raise PoleOfCoherent(s)
-        value = _distance_to_coherent(t, pt.gbar)
+        value = _spectral_norm(t, pt.gbar)
         bound = None
         if m1 is not None and m2 is not None:
             try:
@@ -1173,12 +1302,10 @@ def normalized_incoherence(
     """
     _, direction, pt = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
     t, _ = _solve(pt, net.laplacian.matrix)
-    norm_t = float(np.linalg.norm(t, 2))
+    norm_t = _spectral_norm(t)
     if norm_t == 0.0:
         raise DegenerateGamma(f"transfer matrix vanishes at s = {s}")
-    n = net.n
-    target = direction * np.ones((n, n), dtype=complex) / n
-    return float(np.linalg.norm(t / norm_t - target, 2))
+    return _spectral_norm(t, direction * norm_t) / norm_t
 
 
 # ---------------------------------------------------------------------------
@@ -1331,7 +1458,7 @@ def failure_experiment(
                     t, _ = _solve(pt, scaled)
                 except (PoleOfCoupling, SingularSystem, IndeterminateAt):
                     continue
-                val = _distance_to_coherent(t, pt.gbar)
+                val = _spectral_norm(t, pt.gbar)
                 if val > sup_val:
                     sup_val = val
                     arg = s

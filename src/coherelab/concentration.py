@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .coherence import FrequencyGrid, _fmt, _point_values, _transfer_stack
+from .coherence import FrequencyGrid, _fmt, _point_values, _spectral_norm, _transfer_stack
 from .network import (
     LaplacianMatrix,
     algebraic_connectivity,
@@ -513,7 +513,7 @@ def _trial_measurements(
 
     ``f_vals`` holds the coupling filter's value at each grid point.  The
     grid is taken in chunks: each chunk's points are evaluated in one pass,
-    solved as one stack and normed by one stacked SVD.
+    solved as one stack and normed by ``_spectral_norm``.
     """
     num, den = _draw_tables(model, n, seed, (n, trial))
     sup_gbar = 0.0
@@ -529,7 +529,7 @@ def _trial_measurements(
             sup_gbar = max(sup_gbar, gbar_dev)
         t = _transfer_stack(pts, lap.matrix)
         t -= (ghat_vals[chunk] / n)[:, None, None]
-        sup_inc = max(sup_inc, float(np.linalg.svd(t, compute_uv=False).max()))
+        sup_inc = max(sup_inc, float(_spectral_norm(t).max()))
     return sup_gbar, sup_inc, max_inv
 
 

@@ -61,3 +61,34 @@ def random_second_order_tf(rng: np.random.Generator) -> RationalTF:
 def generic_probe_point(rng: np.random.Generator) -> complex:
     """Point in the right half-plane away from the test families' poles."""
     return complex(float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 2.5)))
+
+
+def positive_real_ring_text(rng: np.random.Generator, n: int, per_side: int,
+                            weight_range: tuple[float, float]) -> str:
+    """Network-file text of a ring with ``per_side`` neighbours a side and
+    edge weights U(weight_range), coupling ``1/s``.
+
+    Even nodes are first order ``k (s + z)/(s + p)``, odd nodes second
+    order ``k (s^2 + a1 s + a0)/(s^2 + b1 s + b0)`` with
+    ``a1 b1 >= 0.64 > (sqrt(a0) - sqrt(b0))^2``: every node is positive
+    real, so a grid line in the right half-plane meets no pole of the
+    coherent mean.
+    """
+    def coeffs(values) -> str:
+        return " ".join(repr(float(v)) for v in values)
+
+    lines = [f"nodes {n}"]
+    lines += [f"edge {i} {(i + d) % n} {float(rng.uniform(*weight_range))!r}"
+              for i in range(n) for d in range(1, per_side + 1)]
+    for i in range(n):
+        k = rng.uniform(0.5, 2.0)
+        if i % 2 == 0:
+            z, p = rng.uniform(0.2, 2.0, size=2)
+            num, den = [k * z, k], [p, 1.0]
+        else:
+            a0, b0 = rng.uniform(0.5, 2.0, size=2)
+            a1, b1 = rng.uniform(0.8, 2.0, size=2)
+            num, den = [k * a0, k * a1, k], [b0, b1, 1.0]
+        lines.append(f"node {i} num {coeffs(num)} / den {coeffs(den)}")
+    lines.append("coupling num 1.0 / den 0.0 1.0")
+    return "\n".join(lines) + "\n"

@@ -44,6 +44,7 @@ from coherelab.coherence import (
     transfer_matrix,
     transfer_matrix_direct,
     transfer_matrix_modal,
+    _point_core,
 )
 
 from conftest import (
@@ -536,6 +537,22 @@ class TestSweep:
             tracemalloc.stop()
         assert all(r.status == "ok" and r.transfer is None for r in result.reports)
         assert peak < 10 * 16 * n * n
+
+    def test_one_point_holds_no_shifted_copy_of_t(self):
+        # The system matrix and T take 16 n^2 bytes each; the spectral norms
+        # add no third n x n complex matrix (T - gbar/n 11^T is never formed).
+        n = 300
+        gains = np.random.default_rng(38).uniform(0.5, 2.0, size=n)
+        net = NetworkModel(complete_graph(n), [RationalTF([k], [1.0, 1.0]) for k in gains], ONE)
+        _point_core(net, 0.5 + 1.0j)
+        tracemalloc.start()
+        try:
+            core = _point_core(net, 0.5 + 1.3j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert core.status == "ok" and core.incoherence is not None
+        assert peak < 3 * 16 * n * n
 
 
 class TestSupIncoherence:
