@@ -201,14 +201,13 @@ def aggregation_error(
         raise ValidationError("aggregate comparison requires integrating coupling 1/s")
     if not 0.0 <= window_start_fraction < 1.0:
         raise ValidationError("window_start_fraction must be in [0, 1)")
-    if net.gbar is None:
-        raise ValidationError("the symbolic coherent mean is unavailable for this network")
+    mean = harmonic_mean(net.nodes)
     cl = closed_loop(net)
     if dt is None:
-        ref_ss = realize(tf_scale(net.gbar, 1.0 / net.n))
+        ref_ss = realize(tf_scale(mean, 1.0 / net.n))
         dt = min(default_step(cl), default_step(ref_ss))
     full = simulate(cl, signal, t_end, dt)
-    ref = coherent_reference(net, signal, t_end, dt)
+    ref = coherent_reference(net, signal, t_end, dt, dynamics=mean)
     window = full.times >= window_start_fraction * t_end
     return float(np.max(np.abs(full.outputs[:, window] - ref.outputs[0, window])))
 

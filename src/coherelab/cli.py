@@ -4,9 +4,9 @@ One analysis per process: parse the input files, run the requested
 computation, and write the result (CSV or a short text report) once, to
 stdout or ``--out``.  Exit codes: 0 success, 1 validation error (bad
 flags, malformed files, unsatisfied preconditions), 2 numerical failure.
-Identical arguments, files, and seeds produce byte-identical output; the
-``COHERELAB_THREADS`` environment variable caps internal parallelism
-(0 = automatic).
+Identical arguments, files, and seeds produce byte-identical output under
+one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
+caps internal parallelism (0 = automatic).
 """
 
 from __future__ import annotations

@@ -25,18 +25,18 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from ._parallel import map_ordered
 from .errors import NumericalError, ValidationError, IllConditionedWarning, GridRefinementWarning
 from .network import LaplacianMatrix, algebraic_connectivity
 from .rational import (
     AT_INFINITY,
-    ExcessiveDegree,
+    DEFAULT_TOL_CANCEL,
     ExtComplex,
     IndeterminateAt,
     Properness,
     RationalTF,
+    ZeroFunctionInverse,
     harmonic_mean,
     is_at_infinity,
     poles,
@@ -237,18 +237,22 @@ def _node_tables(nodes: Sequence[RationalTF]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class NetworkModel:
-    """A graph Laplacian, per-node dynamics, and a scalar coupling filter."""
+    """A graph Laplacian, per-node dynamics, and a scalar coupling filter.
+
+    Every node must be a nonzero function (``ZeroFunctionInverse``
+    otherwise), so that each inverse gain ``1/g_i`` exists.  The coherent
+    mean is never built here: the probe points evaluate it from the node
+    values, and the consumers that need it as a transfer function call
+    ``harmonic_mean(net.nodes)``.
+    """
 
     __slots__ = (
         "laplacian",
         "nodes",
         "coupling",
-        "gbar",
         "assumptions",
         "node_zeros",
         "coupling_poles",
-        "gbar_poles",
-        "gbar_zeros",
         "_num",
         "_den",
         "_zeros",
@@ -261,28 +265,25 @@ class NetworkModel:
         nodes: Sequence[RationalTF],
         coupling: RationalTF,
         *,
-        tol_cancel: float | None = None,
+        tol_cancel: float = DEFAULT_TOL_CANCEL,
     ):
-        nodes = tuple(simplify(g, tol_cancel) if tol_cancel is not None else simplify(g) for g in nodes)
-        coupling = simplify(coupling, tol_cancel) if tol_cancel is not None else simplify(coupling)
+        nodes = tuple(simplify(g, tol_cancel) for g in nodes)
+        coupling = simplify(coupling, tol_cancel)
         if len(nodes) != laplacian.n:
             raise ValidationError(
                 f"got {len(nodes)} node dynamics for a graph with {laplacian.n} nodes"
             )
+        zero_nodes = [i for i, g in enumerate(nodes) if g.num.is_zero]
+        if zero_nodes:
+            raise ZeroFunctionInverse(f"node {zero_nodes[0]} has identically zero dynamics")
         self.laplacian = laplacian
         self.nodes = nodes
         self.coupling = coupling
-        try:
-            self.gbar: RationalTF | None = harmonic_mean(nodes)
-        except ExcessiveDegree:
-            self.gbar = None
         self.node_zeros = tuple(zeros(g) for g in nodes)
         # Every node zero in one array, with the index of the node owning it.
         self._zeros = np.concatenate([np.zeros(0, dtype=complex), *self.node_zeros])
         self._zero_owner = np.repeat(np.arange(len(nodes)), [zs.size for zs in self.node_zeros])
         self.coupling_poles = poles(coupling)
-        self.gbar_poles = poles(self.gbar) if self.gbar is not None else None
-        self.gbar_zeros = zeros(self.gbar) if self.gbar is not None else None
         self._num, self._den = _node_tables(nodes)
         self.assumptions = self._validate()
 
@@ -938,21 +939,6 @@ class _PointCore:
     transfer: np.ndarray | None = None  # only when the caller keeps it
 
 
-def _classify_gbar(net: NetworkModel, s: complex, value: ExtComplex, tol: float) -> str:
-    """Status of gbar at ``s``: '', 'pole', or 'zero'."""
-    if net.gbar_poles is not None:
-        if net.gbar_poles.size and np.min(np.abs(net.gbar_poles - s)) <= tol:
-            return "pole"
-        if net.gbar_zeros.size and np.min(np.abs(net.gbar_zeros - s)) <= tol:
-            return "zero"
-        return ""
-    if is_at_infinity(value):
-        return "pole"
-    if value == 0:
-        return "zero"
-    return ""
-
-
 def _point_core(
     net: NetworkModel,
     s: complex,
@@ -977,10 +963,9 @@ def _point_core(
         # point is still classified (it typically coincides with a pole
         # of the coherent mean) instead of aborting a whole sweep.
         t, cond = None, math.inf
-    kind = _classify_gbar(net, s, pt.gbar, tol_classify)
-    if kind == "pole":
+    if is_at_infinity(pt.gbar):
         status = STATUS_POLE_GBAR
-    elif kind == "zero":
+    elif pt.gbar == 0:
         status = STATUS_ZERO_GBAR
     elif cond > COND_LIMIT:
         status = STATUS_ILL_CONDITIONED
@@ -989,9 +974,7 @@ def _point_core(
     if t is None:
         return _PointCore(status, pt, multiplicity)
     norm_t = _spectral_norm(t)
-    inc = None
-    if status != STATUS_POLE_GBAR and not is_at_infinity(pt.gbar):
-        inc = _spectral_norm(t, complex(pt.gbar))
+    inc = None if status == STATUS_POLE_GBAR else _spectral_norm(t, complex(pt.gbar))
     return _PointCore(status, pt, multiplicity, norm_t, inc, t if keep_transfer else None)
 
 
@@ -1176,7 +1159,7 @@ def convergence_study(
     if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
         raise PoleOfCoupling(s)
     pt = _evaluate(net, s, tol_zero)
-    kind = "norm_T" if _classify_gbar(net, s, pt.gbar, tol_classify) == "pole" else "incoherence"
+    kind = "norm_T" if is_at_infinity(pt.gbar) else "incoherence"
     m1, m2 = _own_envelopes(pt) if kind == "incoherence" else (None, None)
     lam2 = algebraic_connectivity(net.laplacian)
 
@@ -1189,8 +1172,6 @@ def convergence_study(
             raise
         if kind == "norm_T":
             return ConvergenceRow(alpha, _spectral_norm(t), None, kind)
-        if is_at_infinity(pt.gbar):
-            raise PoleOfCoherent(s)
         value = _spectral_norm(t, pt.gbar)
         bound = None
         if m1 is not None and m2 is not None:
@@ -1339,18 +1320,18 @@ def rhp_uniform_check(
       half-plane),
     - no point of the closed right half-plane is a zero of two or more
       nodes (shared right-half-plane zeros defeat uniformity).
+
+    The poles come from the symbolic ``harmonic_mean`` of the nodes, whose
+    ``ExcessiveDegree`` and ``DegenerateMean`` propagate.
     """
     for i, g in enumerate(net.nodes):
         if properness(g) is Properness.STRICTLY_PROPER:
             return UniformityVerdict(False, f"node {i} is strictly proper (gain vanishes at high frequency)")
         if properness(g) is Properness.IMPROPER:
             return UniformityVerdict(False, f"node {i} is improper")
-    if net.gbar is None:
-        raise ExcessiveDegree(
-            "the symbolic coherent mean is too large to analyze; reduce the network"
-        )
-    pole_scale = 1.0 + float(np.max(np.abs(net.gbar_poles))) if net.gbar_poles.size else 1.0
-    for p in net.gbar_poles:
+    gbar_poles = poles(harmonic_mean(net.nodes))
+    pole_scale = 1.0 + float(np.max(np.abs(gbar_poles))) if gbar_poles.size else 1.0
+    for p in gbar_poles:
         if p.real >= -tol_stability * pole_scale:
             return UniformityVerdict(
                 False, f"coherent mean has a pole at {complex(p)} (not strictly stable)"
@@ -1382,18 +1363,15 @@ def _gain_linearization_scale(net: NetworkModel, z: complex, tol: float) -> np.n
     nonvanishing Taylor term; these magnitudes weight the graph when
     locating where the closed loop loses coherence.
     """
-    out = np.zeros(net.n, dtype=float)
-    vanishing = set(net._nodes_with_zero_near(z, tol).tolist())
-    for i, g in enumerate(net.nodes):
-        num_val = npoly.polyval(z, g.num.coeffs)
-        den_val = npoly.polyval(z, g.den.coeffs)
-        if i in vanishing:
-            dnum = npoly.polyval(z, npoly.polyder(g.num.coeffs))
-            mag = abs(dnum / den_val) if den_val != 0 else 0.0
-        else:
-            mag = abs(num_val / den_val) if den_val != 0 else 0.0
-        out[i] = mag if mag > 0.0 else 1.0
-    return out
+    point = np.array([z], dtype=complex)
+    num = _horner(net._num, point)[0]
+    den = _horner(net._den, point)[0]
+    vanishing = net._nodes_with_zero_near(z, tol)
+    derivative = net._num[vanishing, 1:] * np.arange(1, net._num.shape[1])
+    num[vanishing] = _horner(derivative, point)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.abs(num / den)
+    return np.where((den != 0) & (mag > 0.0), mag, 1.0)
 
 
 def failure_experiment(

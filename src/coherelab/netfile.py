@@ -32,7 +32,7 @@ from .errors import ValidationError
 from .coherence import NetworkModel
 from .concentration import Constant, RandomTFModel, Uniform
 from .network import laplacian_from_edges
-from .rational import RationalTF, tf_from_text
+from .rational import DEFAULT_TOL_CANCEL, RationalTF, tf_from_text
 
 __all__ = [
     "parse_network_text",
@@ -80,7 +80,7 @@ def parse_network_text(
     text: str,
     *,
     source: str = "<network>",
-    tol_cancel: float | None = None,
+    tol_cancel: float = DEFAULT_TOL_CANCEL,
 ) -> NetworkModel:
     n: int | None = None
     edges: list[tuple[int, int, float]] = []
@@ -152,8 +152,6 @@ def parse_network_text(
         raise ValidationError(f"{source}: missing coupling line")
     lap = laplacian_from_edges(n, edges)
     nodes = [node_dynamics[i] for i in range(n)]
-    if tol_cancel is None:
-        return NetworkModel(lap, nodes, coupling)
     return NetworkModel(lap, nodes, coupling, tol_cancel=tol_cancel)
 
 
@@ -165,7 +163,9 @@ def _read_text(path: str | os.PathLike) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def read_network_file(path: str | os.PathLike, *, tol_cancel: float | None = None) -> NetworkModel:
+def read_network_file(
+    path: str | os.PathLike, *, tol_cancel: float = DEFAULT_TOL_CANCEL
+) -> NetworkModel:
     return parse_network_text(_read_text(path), source=str(path), tol_cancel=tol_cancel)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .coherence import NetworkModel
-from .rational import Properness, RationalTF, properness, tf_scale
+from .rational import Properness, RationalTF, harmonic_mean, properness, tf_scale
 
 __all__ = [
     "ImproperTF",
@@ -425,13 +425,10 @@ def coherent_reference(
     This is the single reference curve that all node outputs approach as
     connectivity grows.  ``dynamics`` substitutes another mean system
     (for example the expected dynamics of a random family) in place of
-    the network's own harmonic mean.
+    the network's own harmonic mean, which is otherwise built here by
+    ``harmonic_mean`` (its ``ExcessiveDegree`` propagates).
     """
-    gbar = dynamics if dynamics is not None else net.gbar
-    if gbar is None:
-        raise ValidationError(
-            "the symbolic coherent mean is unavailable; pass explicit dynamics"
-        )
+    gbar = dynamics if dynamics is not None else harmonic_mean(net.nodes)
     ref = realize(tf_scale(gbar, 1.0 / net.n))
     # The aggregate sees the scalar input 1^T u.
     if isinstance(signal, ImpulseAll):

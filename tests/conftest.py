@@ -92,3 +92,31 @@ def positive_real_ring_text(rng: np.random.Generator, n: int, per_side: int,
         lines.append(f"node {i} num {coeffs(num)} / den {coeffs(den)}")
     lines.append("coupling num 1.0 / den 0.0 1.0")
     return "\n".join(lines) + "\n"
+
+
+# A point where the expanded harmonic mean of ``biproper_mean_case`` has a
+# pole (one of 31, against a true degree of 50) and the true mean is finite.
+SPURIOUS_SYMBOLIC_POLE = 2.132304219262843 - 6.130839606490899j
+
+
+def biproper_mean_case() -> tuple[list[RationalTF], float]:
+    """50 heterogeneous biproper nodes ``(s + z_i)/(s + p_i)`` with z and p
+    ~ U(0.5, 2), and the rightmost pole of their coherent mean (near -0.52).
+
+    The nodes come from a ``default_rng(0)`` stream that first drew the
+    networks of 10, 20 and 30 nodes, z then p for each size.  Since
+    ``1/g_i = 1 + (p_i - z_i)/(s + z_i)``, the poles of the mean are the
+    eigenvalues of ``diag(-z) - 1 ((p - z)/n)^T``; Newton steps on
+    ``mean_i 1/g_i`` polish the rightmost one to full precision.
+    """
+    rng = np.random.default_rng(0)
+    for n in (10, 20, 30, 50):
+        z = rng.uniform(0.5, 2.0, n)
+        p = rng.uniform(0.5, 2.0, n)
+    eigs = np.linalg.eigvals(np.diag(-z) - np.outer(np.ones(n), (p - z) / n))
+    pole = float(eigs[np.argmax(eigs.real)].real)
+    for _ in range(3):
+        r = (p - z) / (pole + z)
+        pole += (1.0 + r.mean()) / (r / (pole + z)).mean()
+    nodes = [RationalTF([float(zi), 1.0], [float(pi), 1.0]) for zi, pi in zip(z, p)]
+    return nodes, float(pole)

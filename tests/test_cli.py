@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from coherelab import NumericalError
+from coherelab import NetworkModel, NumericalError, RationalTF, complete_graph
 from coherelab.cli import main
+from coherelab.netfile import network_file_text
+
+from conftest import SPURIOUS_SYMBOLIC_POLE, biproper_mean_case
 
 CONSENSUS_K4 = """\
 nodes 4
@@ -161,6 +164,40 @@ class TestConverge:
         )
         assert code == 1
         assert "--alphas" in err
+
+
+class TestCoherentPoles:
+    """The rightmost true pole of a 50-node heterogeneous coherent mean,
+    and a pole of its (wrong) expanded form where the mean is finite."""
+
+    @pytest.fixture
+    def case(self, netfile):
+        nodes, pole = biproper_mean_case()
+        net = NetworkModel(complete_graph(50), nodes, RationalTF([1.0], [1.0]))
+        return netfile(network_file_text(net)), pole
+
+    def test_eval_at_the_true_pole(self, capsys, case):
+        path, pole = case
+        code, out, _ = run(capsys, "eval", "--net", path, "--sigma", repr(pole), "--omega", "0")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[-1] == "pole_gbar" and row[2] == ""
+
+    def test_converge_at_the_true_pole_reports_the_transfer_norm(self, capsys, case):
+        path, pole = case
+        code, out, err = run(capsys, "converge", "--net", path, "--sigma", repr(pole),
+                             "--omega", "0", "--alphas", "1,4,16")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["norm_T"] * 3
+
+    def test_eval_at_a_spurious_symbolic_pole(self, capsys, case):
+        path, _ = case
+        code, out, _ = run(capsys, "eval", "--net", path,
+                           "--sigma", repr(SPURIOUS_SYMBOLIC_POLE.real),
+                           "--omega", repr(SPURIOUS_SYMBOLIC_POLE.imag))
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[-1] == "ok" and float(row[2]) == pytest.approx(0.01975, rel=1e-3)
 
 
 class TestSimulate:
@@ -365,6 +402,18 @@ class TestPlumbing:
         code, _, err = run(capsys, "check", "--net", bad)
         assert code == 1
         assert "bad.net:2" in err
+
+    def test_identically_zero_node_is_rejected(self, capsys, netfile):
+        zero_node = (
+            "nodes 2\n"
+            "edge 0 1 1.0\n"
+            "node 0 num 1.0 / den 1.0 1.0\n"
+            "node 1 num 0.0 / den 1.0 1.0\n"
+            "coupling num 1.0 / den 1.0\n"
+        )
+        code, out, err = run(capsys, "check", "--net", netfile(zero_node))
+        assert (code, out) == (1, "")
+        assert err == "coherelab: error: node 1 has identically zero dynamics\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--net", str(tmp_path / "nope.net"))

@@ -9,7 +9,13 @@ import pytest
 
 from coherelab.errors import GridRefinementWarning, IllConditionedWarning, ValidationError
 from coherelab.network import complete_graph, grounded, laplacian_from_edges, scale_connectivity
-from coherelab.rational import RationalTF, tf_eval, tf_scale
+from coherelab.rational import (
+    DegenerateMean,
+    RationalTF,
+    ZeroFunctionInverse,
+    tf_eval,
+    tf_scale,
+)
 from coherelab.coherence import (
     BoundHypothesisViolated,
     CoherenceReport,
@@ -48,6 +54,8 @@ from coherelab.coherence import (
 )
 
 from conftest import (
+    SPURIOUS_SYMBOLIC_POLE,
+    biproper_mean_case,
     generic_probe_point,
     random_connected_laplacian,
     random_first_order_tf,
@@ -629,6 +637,39 @@ class TestEvaluatePoint:
         assert cells[-1] == "pole_f"
 
 
+class TestPointwiseCoherentPoles:
+    """Poles and zeros of the coherent mean are read from the point values.
+
+    The expanded harmonic mean of these 50 nodes has 31 poles, mostly
+    wrong ones; its roots would call the true pole ``ok`` and the
+    spurious one ``pole_gbar``.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        nodes, pole = biproper_mean_case()
+        return NetworkModel(complete_graph(50), nodes, ONE), pole
+
+    def test_true_pole_is_a_pole_of_the_coherent_mean(self, case):
+        net, pole = case
+        report = evaluate_point(net, pole)
+        assert report.status == "pole_gbar"
+        assert report.gbar is None and report.incoherence is None
+        assert report.norm_transfer > 0.0
+        rows = convergence_study(net, pole, [1, 4, 16])
+        assert [r.kind for r in rows] == ["norm_T"] * 3
+        assert rows[0].value == report.norm_transfer
+
+    def test_spurious_symbolic_pole_is_an_ordinary_point(self, case):
+        net, _ = case
+        report = evaluate_point(net, SPURIOUS_SYMBOLIC_POLE)
+        assert report.status == "ok"
+        assert report.incoherence == pytest.approx(
+            incoherence(net, SPURIOUS_SYMBOLIC_POLE), rel=1e-12
+        )
+        assert report.incoherence == pytest.approx(0.01975, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Convergence studies
 # ---------------------------------------------------------------------------
@@ -849,6 +890,22 @@ class TestNetworkModel:
         net = consensus_pair()
         assert net.assumptions.ok
         assert "ok" in net.assumptions.summary()
+
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_identically_zero_node_is_rejected(self, n):
+        nodes = [INTEGRATOR] * (n - 1) + [RationalTF([0.0], [1.0, 1.0])]
+        with pytest.raises(ZeroFunctionInverse, match=f"node {n - 1}"):
+            NetworkModel(complete_graph(n, 1.0), nodes, ONE)
+
+    def test_inverses_summing_to_zero_make_every_point_a_coherent_pole(self):
+        g = RationalTF([1.0, 1.0], [2.0, 1.0])
+        net = NetworkModel(complete_graph(2, 1.0), [g, tf_scale(g, -1.0)], ONE)
+        grid = FrequencyGrid.linear(0.5, 0.0, 3.0, 7)
+        assert {r.status for r in sweep(net, grid).reports} == {"pole_gbar"}
+        assert [r.kind for r in convergence_study(net, 0.5 + 1j, [1, 4])] == ["norm_T"] * 2
+        # The symbolic mean does not exist, so its consumers refuse.
+        with pytest.raises(DegenerateMean):
+            rhp_uniform_check(net)
 
     def test_graph_swap_shares_dynamics(self):
         net = consensus_pair()

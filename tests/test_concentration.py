@@ -16,6 +16,8 @@ from coherelab import (
     ValidationError,
     complete_graph,
     gbar_value,
+    harmonic_mean,
+    rhp_uniform_check,
     tf_approx_equal,
     tf_eval,
     transfer_matrix,
@@ -513,8 +515,11 @@ class TestConcentrationExperiment:
                 monkeypatch.setattr(module, "harmonic_mean", counting_mean)
         self.run_small()
         assert calls == {"model": 0, "harmonic_mean": 0}
-        # The counters are live: one model build runs one symbolic mean.
-        NetworkModel(complete_graph(2), sample_nodes(gain_over_integrator(), 2), UNIT_COUPLING)
+        # A model build runs no symbolic mean either; the counters are live:
+        # the uniform-coherence check on biproper nodes builds one.
+        net = NetworkModel(complete_graph(2), [RationalTF([1.0, 1.0], [2.0, 1.0])] * 2, UNIT_COUPLING)
+        assert calls == {"model": 1, "harmonic_mean": 0}
+        rhp_uniform_check(net)
         assert calls == {"model": 1, "harmonic_mean": 1}
 
     def test_coherent_deviation_is_pointwise_for_heterogeneous_biproper_nodes(self):
@@ -556,7 +561,7 @@ class TestConsensusOracles:
             net = NetworkModel(complete_graph(n), gs, UNIT_COUPLING)
             kvals = [float(g.num.coeffs[0]) for g in gs]
             expected = RationalTF([n / sum(1.0 / k for k in kvals)], [0.0, 1.0])
-            assert tf_approx_equal(net.gbar, expected, tol=1e-12)
+            assert tf_approx_equal(harmonic_mean(net.nodes), expected, tol=1e-12)
 
     def test_trial_variance_decays_like_one_over_n(self):
         model = gain_over_integrator(seed=99)
