@@ -32,8 +32,8 @@ from .rational import (
 )
 from .timedomain import (
     InputSignal,
+    _reference_response,
     closed_loop,
-    coherent_reference,
     default_step,
     realize,
     simulate,
@@ -135,8 +135,12 @@ def aggregate_dynamics(gs: Sequence[RationalTF]) -> AggregateModel:
     """Aggregate ``(sum_i 1/g_i)^{-1}`` by exact rational arithmetic."""
     if not gs:
         raise ValidationError("need at least one unit to aggregate")
-    mean = harmonic_mean(gs)  # (1/n sum 1/g_i)^{-1}
-    return AggregateModel(simplify(tf_scale(mean, 1.0 / len(gs))), PROVENANCE_GENERIC)
+    return _aggregate_of_mean(harmonic_mean(gs), len(gs))
+
+
+def _aggregate_of_mean(mean: RationalTF, n: int) -> AggregateModel:
+    """The aggregate of ``n`` units with harmonic mean ``mean``."""
+    return AggregateModel(simplify(tf_scale(mean, 1.0 / n)), PROVENANCE_GENERIC)
 
 
 def swing_aggregate(params: Sequence[SwingParams]) -> AggregateModel:
@@ -197,17 +201,25 @@ def aggregation_error(
     Requires integrating coupling ``f = 1/s`` (the power-network
     interconnection this comparison is defined for).
     """
+    return _aggregation_error(net, signal, t_end, dt, None, window_start_fraction)
+
+
+def _aggregation_error(net: NetworkModel, signal: InputSignal, t_end: float, dt: float | None,
+                       mean: RationalTF | None, window_start_fraction: float = 0.1) -> float:
+    """``aggregation_error`` against the nodes' harmonic mean ``mean``
+    (built here when ``None``)."""
     if not tf_approx_equal(net.coupling, RationalTF([1.0], [0.0, 1.0])):
         raise ValidationError("aggregate comparison requires integrating coupling 1/s")
     if not 0.0 <= window_start_fraction < 1.0:
         raise ValidationError("window_start_fraction must be in [0, 1)")
-    mean = harmonic_mean(net.nodes)
+    if mean is None:
+        mean = harmonic_mean(net.nodes)
     cl = closed_loop(net)
+    ref_ss = realize(tf_scale(mean, 1.0 / net.n))
     if dt is None:
-        ref_ss = realize(tf_scale(mean, 1.0 / net.n))
         dt = min(default_step(cl), default_step(ref_ss))
     full = simulate(cl, signal, t_end, dt)
-    ref = coherent_reference(net, signal, t_end, dt, dynamics=mean)
+    ref = _reference_response(ref_ss, net.n, signal, t_end, dt)
     window = full.times >= window_start_fraction * t_end
     return float(np.max(np.abs(full.outputs[:, window] - ref.outputs[0, window])))
 

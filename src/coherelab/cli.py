@@ -6,7 +6,9 @@ stdout or ``--out``.  Exit codes: 0 success, 1 validation error (bad
 flags, malformed files, unsatisfied preconditions), 2 numerical failure.
 Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
-caps internal parallelism (0 = automatic).
+caps the worker threads of ``sweep`` (one grid point each) and
+``converge`` (one multiplier each), 0 = automatic; no other command
+uses them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .aggregate import aggregate_dynamics, aggregate_to_text, aggregation_error
+from .aggregate import _aggregate_of_mean, _aggregation_error, aggregate_to_text
 from .coherence import (
     DEFAULT_TOL_CLASSIFY,
     ConvergenceRow,
@@ -36,7 +38,7 @@ from .concentration import (
 )
 from .errors import NumericalError, ValidationError
 from .netfile import read_model_file, read_network_file
-from .rational import DEFAULT_TOL_CANCEL, DEFAULT_TOL_ZERO
+from .rational import DEFAULT_TOL_CANCEL, DEFAULT_TOL_ZERO, harmonic_mean
 from .timedomain import (
     ImpulseAll,
     InputSignal,
@@ -210,14 +212,12 @@ def _cmd_concentrate(args):
 
 def _cmd_aggregate(args):
     net = read_network_file(args.net, tol_cancel=args.tol_cancel)
-    model = aggregate_dynamics(list(net.nodes))
-    text = aggregate_to_text(model) + "\n"
+    mean = harmonic_mean(net.nodes)
+    text = aggregate_to_text(_aggregate_of_mean(mean, net.n)) + "\n"
     if args.compare:
         if args.input is None or args.t_end is None:
             raise ValidationError("--compare needs --input and --t-end")
-        error = aggregation_error(
-            net, _parse_input(args.input), args.t_end, args.dt
-        )
+        error = _aggregation_error(net, _parse_input(args.input), args.t_end, args.dt, mean)
         text += f"aggregation_error: {repr(error)}\n"
     return text, 0
 

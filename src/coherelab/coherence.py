@@ -476,75 +476,64 @@ def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
     return _point_values(net._num, net._den, [s], [f_val], tol_zero)[0]
 
 
-def _solve(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
-    """Closed-loop transfer matrix on ``laplacian`` and its condition estimate.
-
-    Nodes with vanishing gain pin their outputs to zero; the remaining
-    block is solved against the grounded Laplacian obtained by deleting
-    their rows and columns.
-    """
-    if is_at_infinity(pt.f):
-        raise PoleOfCoupling(pt.s)
-    n = pt.inv.size
-    if pt.vanished:
-        mask = np.ones(n, dtype=bool)
-        mask[list(pt.vanished)] = False
-        kept = np.flatnonzero(mask)
-        t = np.zeros((n, n), dtype=complex)
-        if kept.size == 0:
-            return t, 1.0
-        block = np.ix_(kept, kept)
-        a = np.diag(pt.inv[kept]) + pt.f * laplacian[block]
-    else:
-        a = complex(pt.f) * laplacian
-        a.flat[:: n + 1] += pt.inv
-    try:
-        x = np.linalg.inv(a)  # gesv against I: the bits of solve(a, I)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(pt.s) from exc
-    if pt.vanished:
-        t[block] = x
-    else:
-        t = x
-    return t, float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1))
-
-
-def _transfer_stack(
-    pts: Sequence[_PointValues], laplacian: np.ndarray, cond_limit: float = COND_LIMIT
-) -> np.ndarray:
+def _transfer_stack(pts: Sequence[_PointValues],
+                    laplacian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-loop transfer matrices at the records, as one ``(K, n, n)``
-    stack, with an ``IllConditionedWarning`` for each point whose condition
-    estimate exceeds ``cond_limit``.
+    stack, and their condition estimates ``|A|_1 |T|_1``.
 
-    Points where every gain and ``f`` are finite are solved together by
-    inverting the stack ``f_k L + diag(1/g_i(s_k))``; the others are
-    solved by ``_solve`` (an identity stands in for them in the stack).
-    Errors and warnings come in point order, as solving one point after
-    another gives them.
+    The only place that forms ``A = diag(1/g_i(s_k)) + f_k L``.  Nodes with
+    vanishing gain pin their outputs to zero: their rows and columns of T
+    are zero, and the rest is solved on the grounded Laplacian without them
+    (estimate 1 where every gain vanishes).  Points that ground the same
+    nodes are inverted as one stack, one LAPACK gesv per point against I.
+    ``PoleOfCoupling`` (infinite ``f``) and ``SingularSystem`` come for the
+    first point that fails, as solving one point after another gives them.
     """
     n = laplacian.shape[0]
-    stacked = np.array([not pt.vanished and not is_at_infinity(pt.f) for pt in pts])
-    f = np.array([pt.f if ok else 0.0 for pt, ok in zip(pts, stacked)], dtype=complex)
-    a = f[:, None, None] * laplacian
-    diag = np.arange(n)
-    a[:, diag, diag] += np.array([pt.inv if ok else np.ones(n) for pt, ok in zip(pts, stacked)])
     try:
-        t = np.linalg.inv(a)  # one LAPACK gesv per point against I, as in _solve
-        cond = np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(t, 1, axis=(1, 2))
-    except np.linalg.LinAlgError:
-        # Some point is singular: solving one point at a time finds it.
-        t, cond, stacked[:] = np.empty_like(a), np.empty(len(pts)), False
-    for k, pt in enumerate(pts):
-        if not stacked[k]:
-            t[k], cond[k] = _solve(pt, laplacian)
-        if cond[k] > cond_limit:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, pt in enumerate(pts):
+            if is_at_infinity(pt.f):
+                raise PoleOfCoupling(pt.s)
+            groups.setdefault(pt.vanished, []).append(k)
+        t = None
+        cond = np.ones(len(pts))
+        for vanished, idx in groups.items():
+            kept = np.delete(np.arange(n), vanished)
+            f = np.array([pts[k].f for k in idx], dtype=complex)
+            a = f[:, None, None] * (laplacian[np.ix_(kept, kept)] if vanished else laplacian)
+            diag = np.arange(kept.size)
+            a[:, diag, diag] += np.array([pts[k].inv[kept] for k in idx])
+            try:
+                x = np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystem(pts[idx[0]].s) from exc
+            if kept.size:
+                cond[idx] = np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(x, 1, axis=(1, 2))
+            if len(idx) == len(pts) and not vanished:  # no copy of T where no gain vanishes
+                return x, cond
+            if t is None:
+                t = np.zeros((len(pts), n, n), dtype=complex)
+            t[np.ix_(idx, kept, kept)] = x
+        return t, cond
+    except (PoleOfCoupling, SingularSystem):
+        if len(pts) > 1:
+            for pt in pts:  # one point at a time: the first that fails raises
+                _transfer_stack([pt], laplacian)
+        raise
+
+
+def _warn_ill_conditioned(pts: Sequence[_PointValues], cond: np.ndarray,
+                          cond_limit: float = COND_LIMIT) -> None:
+    """An ``IllConditionedWarning`` for each point whose condition estimate
+    exceeds ``cond_limit``, attributed to the caller's caller."""
+    for pt, c in zip(pts, cond):
+        if c > cond_limit:
             warnings.warn(
-                f"transfer-matrix solve at s = {pt.s} has condition estimate "
-                f"{float(cond[k]):.3e}",
+                f"transfer-matrix solve at s = {pt.s} has condition estimate {float(c):.3e}",
                 IllConditionedWarning,
                 stacklevel=3,
             )
-    return t
 
 
 def _coherent_matrix(gbar: complex, n: int) -> np.ndarray:
@@ -691,7 +680,10 @@ def transfer_matrix(
     ``IllConditionedWarning`` when the solve's condition estimate
     exceeds ``cond_limit``.
     """
-    return _transfer_stack([_evaluate(net, s, tol_zero)], net.laplacian.matrix, cond_limit)[0]
+    pts = [_evaluate(net, s, tol_zero)]
+    t, cond = _transfer_stack(pts, net.laplacian.matrix)
+    _warn_ill_conditioned(pts, cond, cond_limit)
+    return t[0]
 
 
 def transfer_matrix_direct(
@@ -768,7 +760,7 @@ def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> fl
     pt = _evaluate(net, s, tol_zero)
     if is_at_infinity(pt.gbar):
         raise PoleOfCoherent(s)
-    t, _ = _solve(pt, net.laplacian.matrix)
+    t = _transfer_stack([pt], net.laplacian.matrix)[0][0]
     return _spectral_norm(t, pt.gbar)
 
 
@@ -779,6 +771,11 @@ def _effective_connectivity(f_val: ExtComplex, laplacian: LaplacianMatrix) -> fl
 def effective_connectivity(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
     """|f(s)| times the algebraic connectivity; ``inf`` at poles of f."""
     return _effective_connectivity(_evaluate(net, s, tol_zero).f, net.laplacian)
+
+
+def _near_coupling_pole(net: NetworkModel, s: complex, tol: float) -> bool:
+    """Whether ``s`` lies within ``tol`` of a pole of the coupling filter."""
+    return bool(net.coupling_poles.size) and float(np.min(np.abs(net.coupling_poles - s))) <= tol
 
 
 def nodal_multiplicity(net: NetworkModel, s: complex, *, tol: float = DEFAULT_TOL_CLASSIFY) -> int:
@@ -864,19 +861,30 @@ def default_bounds(
     point makes one of the suprema infinite.
     """
     _check_margin(margin)
-    m1 = 0.0
-    m2 = 0.0
+    pts = []
     for s in grid.points:
         pt = _evaluate(net, complex(s), tol_zero)
         if is_at_infinity(pt.gbar):
             raise PoleOnGrid(complex(s))
         if pt.vanished:
             raise ZeroOnGrid(complex(s))
-        m1 = max(m1, abs(pt.gbar))
-        m2 = max(m2, pt.inv_max)
-    if m1 == 0.0 or m2 == 0.0:
+        pts.append(pt)
+    m1, m2 = _envelopes(pts, margin)
+    if m1 is None:
         raise ValidationError("degenerate envelopes: node gains vanish identically on the grid")
-    return margin * m1, margin * m2
+    return m1, m2
+
+
+def _envelopes(pts: Sequence[_PointValues], margin: float) -> tuple[float | None, float | None]:
+    """Envelope constants over the clean records (``gbar`` finite and
+    nonzero, no vanished gain): ``margin`` times the suprema of ``|gbar|``
+    and of ``max_i |1/g_i|``, or ``(None, None)`` where either is zero."""
+    clean = [pt for pt in pts if not is_at_infinity(pt.gbar) and pt.gbar != 0 and not pt.vanished]
+    sup_g = max((abs(pt.gbar) for pt in clean), default=0.0)
+    sup_inv = max((pt.inv_max for pt in clean), default=0.0)
+    if sup_g > 0.0 and sup_inv > 0.0:
+        return margin * sup_g, margin * sup_inv
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -929,35 +937,39 @@ class SweepResult:
         return sup
 
 
-@dataclass(frozen=True)
-class _PointCore:
-    status: str
-    pt: _PointValues
-    multiplicity: int
-    norm_transfer: float | None = None
-    incoherence: float | None = None
-    transfer: np.ndarray | None = None  # only when the caller keeps it
+def _probe_records(net: NetworkModel, points: Sequence[complex], tol_zero: float,
+                   tol_classify: float) -> list[tuple[_PointValues, bool]]:
+    """The values at each probe point and whether it lies within
+    ``tol_classify`` of a coupling pole.  Evaluation errors and
+    ``PoleOfCoupling`` (``f`` infinite off those poles) are raised here,
+    for the first point that has one, before any point is solved."""
+    records = []
+    for s in points:
+        pt = _evaluate(net, s, tol_zero)
+        pole_f = _near_coupling_pole(net, s, tol_classify)
+        if not pole_f and is_at_infinity(pt.f):
+            raise PoleOfCoupling(s)
+        records.append((pt, pole_f))
+    return records
 
 
-def _point_core(
-    net: NetworkModel,
-    s: complex,
-    *,
-    tol_zero: float = 1e-12,
-    tol_classify: float = DEFAULT_TOL_CLASSIFY,
-    keep_transfer: bool = False,
-) -> _PointCore:
-    """Status, norms and incoherence at one point.
+def _point_report(net: NetworkModel, pt: _PointValues, pole_f: bool, m1: float | None,
+                  m2: float | None, *, tol_classify: float, keep_transfer: bool) -> CoherenceReport:
+    """The complete report at one probe point, with the bound from the
+    envelope constants ``m1``, ``m2`` (none where either is ``None``).
 
-    Both norms are taken here so that a sweep holds no n x n matrix
-    beyond the point being evaluated; T itself is kept only on request.
+    A point on a coupling pole is not solved.  Elsewhere both norms are
+    taken here, so that a sweep holds no n x n matrix beyond the points
+    being evaluated; T itself is kept only on request.
     """
-    pt = _evaluate(net, s, tol_zero)
-    multiplicity = nodal_multiplicity(net, s, tol=tol_classify)
-    if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
-        return _PointCore(STATUS_POLE_F, pt, multiplicity)
+    multiplicity = nodal_multiplicity(net, pt.s, tol=tol_classify)
+    eff = _effective_connectivity(pt.f, net.laplacian)
+    if pole_f:
+        return CoherenceReport(complex(pt.s), STATUS_POLE_F, None, None, None, eff, None,
+                               multiplicity)
     try:
-        t, cond = _solve(pt, net.laplacian.matrix)
+        stack, cond = _transfer_stack([pt], net.laplacian.matrix)
+        t, cond = stack[0], cond[0]
     except SingularSystem:
         # A pole of the closed loop itself: T does not exist there.  The
         # point is still classified (it typically coincides with a pole
@@ -971,56 +983,26 @@ def _point_core(
         status = STATUS_ILL_CONDITIONED
     else:
         status = STATUS_OK
-    if t is None:
-        return _PointCore(status, pt, multiplicity)
-    norm_t = _spectral_norm(t)
-    inc = None if status == STATUS_POLE_GBAR else _spectral_norm(t, complex(pt.gbar))
-    return _PointCore(status, pt, multiplicity, norm_t, inc, t if keep_transfer else None)
-
-
-def _own_envelopes(pt: _PointValues) -> tuple[float | None, float | None]:
-    """Envelope constants from the probe point alone, inflated by 5%;
-    ``(None, None)`` where either envelope is zero or infinite."""
-    if is_at_infinity(pt.gbar) or pt.gbar == 0 or pt.vanished or pt.inv_max == 0.0:
-        return None, None
-    return 1.05 * abs(pt.gbar), 1.05 * pt.inv_max
-
-
-def _report_from_core(
-    net: NetworkModel,
-    core: _PointCore,
-    m1: float | None,
-    m2: float | None,
-) -> CoherenceReport:
-    pt = core.pt
-    eff = _effective_connectivity(pt.f, net.laplacian)
-    if core.status == STATUS_POLE_F:
-        return CoherenceReport(
-            s0=complex(pt.s),
-            status=core.status,
-            gbar=None,
-            incoherence=None,
-            bound=None,
-            effective_connectivity=eff,
-            norm_transfer=None,
-            multiplicity=core.multiplicity,
-        )
-    bound: float | None = None
-    if m1 is not None and m2 is not None and core.incoherence is not None:
-        try:
-            bound = _envelope_bound(pt, algebraic_connectivity(net.laplacian), m1, m2)
-        except BoundHypothesisViolated:
-            bound = None
+    norm_t = inc = bound = None
+    if t is not None:
+        norm_t = _spectral_norm(t)
+        if status != STATUS_POLE_GBAR:
+            inc = _spectral_norm(t, complex(pt.gbar))
+            if m1 is not None and m2 is not None:
+                try:
+                    bound = _envelope_bound(pt, algebraic_connectivity(net.laplacian), m1, m2)
+                except BoundHypothesisViolated:
+                    bound = None
     return CoherenceReport(
         s0=complex(pt.s),
-        status=core.status,
+        status=status,
         gbar=None if is_at_infinity(pt.gbar) else complex(pt.gbar),
-        incoherence=core.incoherence,
+        incoherence=inc,
         bound=bound,
         effective_connectivity=eff,
-        norm_transfer=core.norm_transfer,
-        multiplicity=core.multiplicity,
-        transfer=core.transfer,
+        norm_transfer=norm_t,
+        multiplicity=multiplicity,
+        transfer=t if keep_transfer else None,
     )
 
 
@@ -1042,11 +1024,11 @@ def evaluate_point(
     empty; structural problems (poles of the coupling filter) surface
     in ``status`` rather than raising.
     """
-    core = _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify,
-                       keep_transfer=keep_transfer)
-    if m1 is None and m2 is None and core.status in (STATUS_OK, STATUS_ILL_CONDITIONED):
-        m1, m2 = _own_envelopes(core.pt)
-    return _report_from_core(net, core, m1, m2)
+    [(pt, pole_f)] = _probe_records(net, [s], tol_zero, tol_classify)
+    if m1 is None and m2 is None:
+        m1, m2 = _envelopes([] if pole_f else [pt], 1.05)
+    return _point_report(net, pt, pole_f, m1, m2, tol_classify=tol_classify,
+                         keep_transfer=keep_transfer)
 
 
 def sweep(
@@ -1064,31 +1046,20 @@ def sweep(
     of the coherent mean, vanishing node gains, and ill-conditioned
     solves are all recorded in each report's ``status``.  Envelope
     constants for the bound column are derived from the clean subset of
-    the grid (points where both envelopes are finite), inflated by
-    ``margin``.
+    the grid (off coupling poles, where both envelopes are finite and
+    nonzero), inflated by ``margin``, before any point is solved.
     """
     if with_bounds:
         _check_margin(margin)
-    pts = [complex(s) for s in grid.points]
-    cores = map_ordered(
-        lambda s: _point_core(net, s, tol_zero=tol_zero, tol_classify=tol_classify), pts
+    records = _probe_records(net, [complex(s) for s in grid.points], tol_zero, tol_classify)
+    clean = [pt for pt, pole_f in records if not pole_f]
+    m1, m2 = _envelopes(clean, margin) if with_bounds else (None, None)
+    reports = map_ordered(
+        lambda rec: _point_report(net, *rec, m1, m2, tol_classify=tol_classify,
+                                  keep_transfer=False),
+        records,
     )
-    m1 = m2 = None
-    if with_bounds:
-        clean = [
-            core.pt
-            for core in cores
-            if core.status in (STATUS_OK, STATUS_ILL_CONDITIONED)
-            and not core.pt.vanished
-            and not is_at_infinity(core.pt.gbar)
-        ]
-        sup_g = max((abs(pt.gbar) for pt in clean), default=0.0)
-        sup_inv = max((pt.inv_max for pt in clean), default=0.0)
-        if sup_g > 0.0 and sup_inv > 0.0:
-            m1 = margin * sup_g
-            m2 = margin * sup_inv
-    reports = tuple(_report_from_core(net, core, m1, m2) for core in cores)
-    return SweepResult(grid=grid, reports=reports, m1=m1, m2=m2)
+    return SweepResult(grid=grid, reports=tuple(reports), m1=m1, m2=m2)
 
 
 def sup_incoherence(
@@ -1156,16 +1127,16 @@ def convergence_study(
     alphas = sorted(float(a) for a in alphas)
     if any(a <= 0 for a in alphas):
         raise ValidationError("multipliers must be positive")
-    if net.coupling_poles.size and np.min(np.abs(net.coupling_poles - s)) <= tol_classify:
+    if _near_coupling_pole(net, s, tol_classify):
         raise PoleOfCoupling(s)
     pt = _evaluate(net, s, tol_zero)
     kind = "norm_T" if is_at_infinity(pt.gbar) else "incoherence"
-    m1, m2 = _own_envelopes(pt) if kind == "incoherence" else (None, None)
+    m1, m2 = _envelopes([pt], 1.05)
     lam2 = algebraic_connectivity(net.laplacian)
 
     def one(alpha: float) -> ConvergenceRow:
         try:
-            t, _ = _solve(pt, alpha * net.laplacian.matrix)
+            t = _transfer_stack([pt], alpha * net.laplacian.matrix)[0][0]
         except SingularSystem:
             if kind == "norm_T":
                 return ConvergenceRow(alpha, math.inf, None, kind)
@@ -1282,7 +1253,7 @@ def normalized_incoherence(
     though the raw incoherence is undefined at such points.
     """
     _, direction, pt = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
-    t, _ = _solve(pt, net.laplacian.matrix)
+    t = _transfer_stack([pt], net.laplacian.matrix)[0][0]
     norm_t = _spectral_norm(t)
     if norm_t == 0.0:
         raise DegenerateGamma(f"transfer matrix vanishes at s = {s}")
@@ -1433,10 +1404,10 @@ def failure_experiment(
                     pt = _evaluate(net, s, tol_zero)
                     if is_at_infinity(pt.gbar):
                         continue
-                    t, _ = _solve(pt, scaled)
+                    t, _ = _transfer_stack([pt], scaled)
                 except (PoleOfCoupling, SingularSystem, IndeterminateAt):
                     continue
-                val = _spectral_norm(t, pt.gbar)
+                val = _spectral_norm(t[0], pt.gbar)
                 if val > sup_val:
                     sup_val = val
                     arg = s

@@ -28,7 +28,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .coherence import FrequencyGrid, _fmt, _point_values, _spectral_norm, _transfer_stack
+from .coherence import (
+    FrequencyGrid, _fmt, _point_values, _spectral_norm, _transfer_stack, _warn_ill_conditioned,
+)
 from .network import (
     LaplacianMatrix,
     algebraic_connectivity,
@@ -527,7 +529,8 @@ def _trial_measurements(
             max_inv = max(max_inv, pt.inv_max)
             gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
             sup_gbar = max(sup_gbar, gbar_dev)
-        t = _transfer_stack(pts, lap.matrix)
+        t, cond = _transfer_stack(pts, lap.matrix)
+        _warn_ill_conditioned(pts, cond)
         t -= (ghat_vals[chunk] / n)[:, None, None]
         sup_inc = max(sup_inc, float(_spectral_norm(t).max()))
     return sup_gbar, sup_inc, max_inv

@@ -413,8 +413,7 @@ def harmonic_mean(gs: Iterable[RationalTF],
         acc_den = acc_den / lead
         if len(acc_num) - 1 > MAX_DEGREE or len(acc_den) - 1 > MAX_DEGREE:
             raise ExcessiveDegree(
-                "harmonic mean exceeds the supported polynomial degree; "
-                "use point-wise evaluation instead")
+                f"harmonic mean exceeds the supported polynomial degree of {MAX_DEGREE}")
 
     mean_num = Polynomial(acc_num / len(gs))
     if mean_num.is_zero:

@@ -20,7 +20,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ValidationError
-from .coherence import NetworkModel
+from .coherence import COND_LIMIT, NetworkModel
 from .rational import Properness, RationalTF, harmonic_mean, properness, tf_scale
 
 __all__ = [
@@ -290,8 +290,9 @@ def closed_loop(net: NetworkModel) -> StateSpace:
         raise AlgebraicLoop(
             "instantaneous feedthrough around the coupling loop is singular"
         ) from exc
-    # Guard near-singular loops too: they produce meaningless dynamics.
-    if np.linalg.cond(loop) > 1e12:
+    # Guard near-singular loops too: they produce meaningless dynamics.  The
+    # estimate |loop|_1 |loop^-1|_1 is the one every frequency-domain solve uses.
+    if np.linalg.norm(loop, 1) * np.linalg.norm(loop_inv, 1) > COND_LIMIT:
         raise AlgebraicLoop(
             "instantaneous feedthrough around the coupling loop is numerically singular"
         )
@@ -429,14 +430,19 @@ def coherent_reference(
     ``harmonic_mean`` (its ``ExcessiveDegree`` propagates).
     """
     gbar = dynamics if dynamics is not None else harmonic_mean(net.nodes)
-    ref = realize(tf_scale(gbar, 1.0 / net.n))
+    return _reference_response(realize(tf_scale(gbar, 1.0 / net.n)), net.n, signal, t_end, dt)
+
+
+def _reference_response(ref: StateSpace, n: int, signal: InputSignal, t_end: float,
+                        dt: float | None) -> Trajectory:
+    """``coherent_reference`` for the realized aggregate ``ref`` of ``n`` nodes."""
     # The aggregate sees the scalar input 1^T u.
     if isinstance(signal, ImpulseAll):
-        scalar_signal: InputSignal = ImpulseAll(magnitude=net.n * signal.magnitude)
+        scalar_signal: InputSignal = ImpulseAll(magnitude=n * signal.magnitude)
     elif isinstance(signal, StepNode):
         scalar_signal = StepNode(node=0, magnitude=signal.magnitude)
     elif isinstance(signal, SinusoidAll):
-        scalar_signal = SinusoidAll(omega=signal.omega, amplitude=net.n * signal.amplitude)
+        scalar_signal = SinusoidAll(omega=signal.omega, amplitude=n * signal.amplitude)
     else:
         raise ValidationError(f"unknown input signal {signal!r}")
     return simulate(ref, scalar_signal, t_end, dt)

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from coherelab import NetworkModel, NumericalError, RationalTF, complete_graph
+from coherelab import aggregate, cli, coherence, rational, timedomain
 from coherelab.cli import main
 from coherelab.netfile import network_file_text
 
-from conftest import SPURIOUS_SYMBOLIC_POLE, biproper_mean_case
+from conftest import SPURIOUS_SYMBOLIC_POLE, biproper_mean_case, positive_real_ring_text
 
 CONSENSUS_K4 = """\
 nodes 4
@@ -50,6 +53,15 @@ node 0 num 1.0 / den 1.0 1.0
 node 1 num 1.0 / den 1.5 2.0
 node 2 num 1.0 / den 0.5 1.5
 coupling num 1.0 / den 0.0 1.0
+"""
+
+# Two integrators with static unit coupling: closed-loop poles at 0 and -2.
+CONSENSUS_PAIR = """\
+nodes 2
+edge 0 1 1.0
+node 0 num 1.0 / den 0.0 1.0
+node 1 num 1.0 / den 0.0 1.0
+coupling num 1.0 / den 1.0
 """
 
 SINGLE_NODE = """\
@@ -164,6 +176,28 @@ class TestConverge:
         )
         assert code == 1
         assert "--alphas" in err
+
+
+class TestClosedLoopPole:
+    """T does not exist at a pole of the closed loop; eval and sweep report
+    the point as ill_conditioned with its T columns empty, and warn nothing."""
+
+    def test_eval(self, capsys, netfile):
+        code, out, err = run(capsys, "eval", "--net", netfile(CONSENSUS_PAIR),
+                             "--sigma", "-2", "--omega", "0")
+        assert (code, err) == (0, "")
+        sigma, omega, inc, bound, eff, norm_t, mult, status = out.splitlines()[1].split(",")
+        assert (inc, bound, norm_t, status) == ("", "", "", "ill_conditioned")
+        assert (sigma, eff, mult) == ("-2.0", "2.0", "0")  # |f| lambda_2 = 2
+
+    def test_sweep(self, capsys, netfile):
+        code, out, err = run(capsys, "sweep", "--net", netfile(CONSENSUS_PAIR), "--sigma", "-2",
+                             "--omega-min", "0", "--omega-max", "1", "--points", "3")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["ill_conditioned", "ok", "ok"]
+        assert rows[0][2] == rows[0][3] == rows[0][5] == ""
+        assert all(row[2] and row[5] for row in rows[1:])
 
 
 class TestCoherentPoles:
@@ -336,6 +370,29 @@ class TestAggregate:
         assert last.startswith("aggregation_error: ")
         assert float(last.split(": ")[1]) > 0.0
 
+    def test_compare_builds_and_realizes_the_coherent_mean_once(
+        self, capsys, netfile, monkeypatch
+    ):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (aggregate, cli, coherence, rational, timedomain):
+            for name in ("harmonic_mean", "realize"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, out, _ = run(
+            capsys, "aggregate", "--net", netfile(SWING_LINE),
+            "--compare", "--input", "step:0:1.0", "--t-end", "20.0",
+        )
+        assert code == 0 and out.splitlines()[-1].startswith("aggregation_error: ")
+        # three nodes, the coupling filter and one reference
+        assert calls == {"harmonic_mean": 1, "realize": 5}
+
     def test_compare_requires_input_and_horizon(self, capsys, netfile):
         code, _, err = run(
             capsys, "aggregate", "--net", netfile(SWING_LINE), "--compare",
@@ -350,6 +407,27 @@ class TestAggregate:
         )
         assert code == 1
         assert "coupling" in err
+
+
+class TestExcessiveDegree:
+    """Above degree 64 the symbolic coherent mean is not built; the message
+    states the limit."""
+
+    MESSAGE = "harmonic mean exceeds the supported polynomial degree of 64"
+
+    @pytest.fixture
+    def ring(self, netfile):
+        return netfile(positive_real_ring_text(np.random.default_rng(5), 150, 10, (1.0, 3.0)))
+
+    def test_check(self, capsys, ring):
+        code, out, err = run(capsys, "check", "--net", ring)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"uniform-coherence check: undetermined: {self.MESSAGE}"
+
+    def test_simulate_reference(self, capsys, ring):
+        code, out, err = run(capsys, "simulate", "--net", ring, "--input", "impulse",
+                             "--t-end", "0.2", "--dt", "0.1", "--reference")
+        assert (code, out, err) == (1, "", f"coherelab: error: {self.MESSAGE}\n")
 
 
 class TestCheck:

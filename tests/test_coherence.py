@@ -11,6 +11,7 @@ from coherelab.errors import GridRefinementWarning, IllConditionedWarning, Valid
 from coherelab.network import complete_graph, grounded, laplacian_from_edges, scale_connectivity
 from coherelab.rational import (
     DegenerateMean,
+    IndeterminateAt,
     RationalTF,
     ZeroFunctionInverse,
     tf_eval,
@@ -50,7 +51,10 @@ from coherelab.coherence import (
     transfer_matrix,
     transfer_matrix_direct,
     transfer_matrix_modal,
-    _point_core,
+    DEFAULT_TOL_CLASSIFY,
+    _point_report,
+    _probe_records,
+    _transfer_stack,
 )
 
 from conftest import (
@@ -552,15 +556,79 @@ class TestSweep:
         n = 300
         gains = np.random.default_rng(38).uniform(0.5, 2.0, size=n)
         net = NetworkModel(complete_graph(n), [RationalTF([k], [1.0, 1.0]) for k in gains], ONE)
-        _point_core(net, 0.5 + 1.0j)
+        records = _probe_records(net, [0.5 + 1.0j, 0.5 + 1.3j], 1e-12, 1e-6)
+        _point_report(net, *records[0], None, None, tol_classify=1e-6, keep_transfer=False)
         tracemalloc.start()
         try:
-            core = _point_core(net, 0.5 + 1.3j)
+            report = _point_report(net, *records[1], None, None, tol_classify=1e-6,
+                                   keep_transfer=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert core.status == "ok" and core.incoherence is not None
+        assert report.status == "ok" and report.incoherence is not None
         assert peak < 3 * 16 * n * n
+
+    def test_closed_loop_pole_is_ill_conditioned_with_no_transfer_matrix(self):
+        net = consensus_pair()  # closed-loop poles at 0 and -2; gbar(-2) = -1/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported in the status, never warned
+            result = sweep(net, FrequencyGrid.linear(-2.0, 0.0, 1.0, 3))
+            near = evaluate_point(net, -2.0 + 1e-14)
+        pole = result.reports[0]
+        assert pole.status == "ill_conditioned" and pole.gbar == pytest.approx(-0.5)
+        assert pole.norm_transfer is None and pole.incoherence is None and pole.bound is None
+        assert [r.status for r in result.reports[1:]] == ["ok", "ok"]
+        # Solvable but past the condition limit: T exists and is measured.
+        assert near.status == "ill_conditioned" and near.norm_transfer > 1e12
+        assert near.incoherence is not None
+
+    def test_each_report_is_the_point_report_under_the_sweep_envelopes(self):
+        # f = 1/(s^2 + 1) has a pole at j; g_3 = s/(9 - s^2) vanishes at 0;
+        # the inverse gains s, s and (9 - s^2)/s sum to zero at 3j.
+        nodes = [INTEGRATOR, INTEGRATOR, RationalTF([0.0, 1.0], [9.0, 0.0, -1.0])]
+        net = NetworkModel(complete_graph(3, 2.0), nodes, RationalTF([1.0], [1.0, 0.0, 1.0]))
+        result = sweep(net, FrequencyGrid.linear(0.0, 0.0, 4.0, 9))
+        statuses = [r.status for r in result.reports]
+        assert statuses[:3] == ["zero_gbar", "ok", "pole_f"] and statuses[6] == "pole_gbar"
+        assert {"pole_f", "pole_gbar", "zero_gbar", "ok"} == set(statuses)
+        assert result.m1 is not None and result.m2 is not None
+        for report in result.reports:
+            assert report == evaluate_point(net, report.s0, m1=result.m1, m2=result.m2,
+                                            keep_transfer=False)
+
+    @pytest.mark.parametrize("omegas, first", [((-1.0, -0.5, 0.0, 0.5), -1.0 - 0.5j),
+                                               ((0.0, 0.5, 1.0), -1.0 + 0.0j)])
+    def test_the_first_point_that_fails_raises(self, omegas, first):
+        # Node 0 is 0/0 at s = -1 (nothing cancels with tol_cancel = 0); the
+        # coupling has poles at -1 +- 0.5j, unclassified with tol_classify < 0.
+        nodes = [RationalTF([1.0, 1.0], [1.0 + 1e-14, 1.0]), RationalTF([1.0], [1.0, 1.0])]
+        coupling = RationalTF([1.0], [1.25, 2.0, 1.0])
+        net = NetworkModel(complete_graph(2), nodes, coupling, tol_cancel=0.0)
+        grid = FrequencyGrid(-1.0, np.array(omegas), "lin")
+        expected = PoleOfCoupling if first.imag else IndeterminateAt
+        with pytest.raises(expected) as caught:
+            sweep(net, grid, tol_classify=-1.0)
+        assert caught.value.s == first
+
+    def test_stack_grounds_each_point_as_one_point_solves_do(self):
+        # Node 0 vanishes at -1, node 1 at -2 and node 2 at -3.
+        nodes = [RationalTF([1.0, 1.0], [2.0, 1.0]), RationalTF([2.0, 1.0], [1.0, 1.0]),
+                 RationalTF([3.0, 1.0], [0.5, 1.0])]
+        net = NetworkModel(laplacian_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]), nodes, ONE)
+        points = [0.5 + 1j, -1.0, -2.0, -3.0, -1.0 + 0.5j, -1.0]
+        records = [pt for pt, _ in _probe_records(net, points, 1e-12, DEFAULT_TOL_CLASSIFY)]
+        assert [pt.vanished for pt in records] == [(), (0,), (1,), (2,), (), (0,)]
+        stack, cond = _transfer_stack(records, net.laplacian.matrix)
+        for s, t in zip(points, stack):
+            assert np.array_equal(t, transfer_matrix(net, s))
+        assert np.array_equal(stack[1], stack[5]) and np.all(cond >= 1.0)
+        # Where every gain vanishes, T is zero and the estimate is 1.
+        shared = [RationalTF([1.0, 1.0], [p, 1.0]) for p in (2.0, 3.0, 0.5)]
+        net = NetworkModel(net.laplacian, shared, ONE)
+        records = [pt for pt, _ in _probe_records(net, [-1.0, 1j], 1e-12, DEFAULT_TOL_CLASSIFY)]
+        stack, cond = _transfer_stack(records, net.laplacian.matrix)
+        assert not stack[0].any() and cond[0] == 1.0
+        assert np.array_equal(stack[1], transfer_matrix(net, 1j))
 
 
 class TestSupIncoherence:

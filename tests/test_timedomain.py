@@ -160,6 +160,22 @@ class TestClosedLoop:
         with pytest.raises(AlgebraicLoop):
             closed_loop(net)
 
+    def test_near_singular_instantaneous_loop_rejected(self):
+        # I + D_G d_f L has eigenvalues 1 and -1e-14: solvable, but its
+        # condition estimate is far past the limit.
+        g = RationalTF([2.0, 1.0], [1.0, 1.0])
+        net = NetworkModel(complete_graph(2, 0.5), [g, g], RationalTF([-1.0 - 1e-14], [1.0]))
+        with pytest.raises(AlgebraicLoop, match="numerically singular"):
+            closed_loop(net)
+
+    def test_well_conditioned_biproper_loop_accepted(self):
+        g = RationalTF([2.0, 1.0], [1.0, 1.0])
+        h = RationalTF([1.0, 3.0], [2.0, 1.0])
+        net = NetworkModel(complete_graph(3, 0.5), [g, h, g], RationalTF([-1.5], [1.0]))
+        cl = closed_loop(net)  # the loop matrix has eigenvalues 1, -1.25 and -4.25
+        s = 0.4 + 0.9j
+        assert np.max(np.abs(cl.frequency_response(s) - transfer_matrix(net, s))) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Simulation
