@@ -566,12 +566,84 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+def _ritz_certificate(b: np.ndarray, beta: float | np.ndarray):
+    """The top singular value ``sigma`` of the bidiagonal ``B_k`` (the last
+    two axes of ``b``, a stack of them allowed) and whether the residual
+    certificate ``|beta_k p_k| <= 1e-13 sigma`` accepts it, ``p`` its left
+    singular vector; see ``_spectral_norm``."""
+    left, sv, _ = np.linalg.svd(b)
+    return sv[..., 0], beta * np.abs(left[..., -1, 0]) <= _LANCZOS_RTOL * sv[..., 0]
+
+
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``w`` minus its projection on the orthonormal rows of ``basis``
-    (classical Gram-Schmidt, applied twice)."""
+    (classical Gram-Schmidt, applied twice); for ``(K, n)`` rows against a
+    ``(K, k, n)`` stack of bases, each row against its own basis."""
     for _ in range(2):
-        w = w - (basis.conj() @ w) @ basis
+        coef = (basis.conj() @ w[..., None])[..., 0]
+        w = w - (coef[..., None, :] @ basis)[..., 0, :]
     return w
+
+
+def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
+    """``sigma_max`` of ``count`` operators ``X_j`` on ``C^n`` by
+    Golub-Kahan-Lanczos bidiagonalization (see ``_spectral_norm``), NaN for
+    each operator without a certificate, whose full SVD the caller takes.
+
+    The operators are seen only through products: ``apply(idx, V)`` returns
+    the rows ``X_{idx[r]} V[r]`` and ``adjoint(idx, U)`` the rows
+    ``X_{idx[r]}^H U[r]``, ``idx`` listing the operators still iterating.
+    Each operator takes the steps ``_golub_kahan_norm`` would take on it,
+    from the same start vector, to the same certificate and step limit,
+    and leaves the batch when it is certified or has failed.  One dense
+    matrix keeps its own loop there: this one's batch bookkeeping costs
+    more per step than a single norm can spare.
+    """
+    steps = _LANCZOS_MAX_STEPS
+    sigma = np.full(count, np.nan)
+    idx = np.arange(count)
+    v = np.tile(_start_vector(n), (count, 1, 1))
+    with np.errstate(all="ignore"):  # a non-finite operator goes to the SVD, silently
+        w = apply(idx, v[:, 0])
+    # B_k = b[:, :k+1, :k+1], upper bidiagonal: alpha_j on the diagonal and
+    # beta_j at [j, j+1], so beta_k sits just outside B_k.
+    b = np.zeros((count, steps, steps + 1))
+    b[:, 0, 0] = np.linalg.norm(w, axis=1)
+    live = (0.0 < b[:, 0, 0]) & (b[:, 0, 0] < math.inf)
+    idx, v, w, b = idx[live], v[live], w[live], b[live]
+    u = (w / b[:, 0, :1])[:, None]
+    for k in range(steps if idx.size else 0):
+        w = adjoint(idx, u[:, k]) - b[:, k, k, None] * v[:, k]
+        w = _orthogonalize(w, v)
+        beta = b[:, k, k + 1] = np.linalg.norm(w, axis=1)
+        top, done = _ritz_certificate(b[:, : k + 1, : k + 1], beta)
+        sigma[idx[done]] = top[done]
+        live = ~done & (beta < math.inf) & (k + 1 < steps)
+        kept = np.count_nonzero(live)
+        if kept < idx.size:
+            if not kept:
+                break
+            idx, v, u, w, b, beta = (x[live] for x in (idx, v, u, w, b, beta))
+        v = np.concatenate([v, (w / beta[:, None])[:, None]], axis=1)
+        w = apply(idx, v[:, k + 1]) - beta[:, None] * u[:, k]
+        w = _orthogonalize(w, u)
+        a = np.linalg.norm(w, axis=1)
+        live = a < math.inf
+        exact = a == 0.0
+        if np.count_nonzero(exact):
+            # X V_{k+2} = U_{k+1} [B_k, beta_k e_k] and its adjoint hold
+            # exactly: the singular values of that block are X's.
+            block = b[exact, : k + 1, : k + 2]
+            sigma[idx[exact]] = np.linalg.svd(block, compute_uv=False)[:, 0]
+            live &= ~exact
+        kept = np.count_nonzero(live)
+        if kept < idx.size:
+            if not kept:
+                break
+            idx, v, u, w, b, a = (x[live] for x in (idx, v, u, w, b, a))
+        b[:, k + 1, k + 1] = a
+        u = np.concatenate([u, (w / a[:, None])[:, None]], axis=1)
+    return sigma
 
 
 def _golub_kahan_norm(t: np.ndarray, shift: complex) -> float:
@@ -598,9 +670,9 @@ def _golub_kahan_norm(t: np.ndarray, shift: complex) -> float:
         w = _orthogonalize(w, v[: k + 1])
         beta[k] = np.linalg.norm(w)
         b = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
-        left, sv, _ = np.linalg.svd(b)
-        if beta[k] * abs(left[k, 0]) <= _LANCZOS_RTOL * sv[0]:
-            return float(sv[0])
+        sigma, certified = _ritz_certificate(b, beta[k])
+        if certified:
+            return float(sigma)
         if k + 1 == steps or not beta[k] < math.inf:
             break
         v[k + 1] = w / beta[k]

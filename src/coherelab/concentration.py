@@ -13,9 +13,13 @@ All randomness is counter-based: every draw is addressed by an explicit
 substream key, so results are independent of evaluation order.  Trials
 run one after another; ``COHERELAB_THREADS`` does not apply to them.  A
 trial draws its nodes straight into padded coefficient tables (the same
-numbers ``sample_nodes`` gives), evaluates every node at a chunk of grid
-points in one pass, and solves and norms the chunk's closed-loop systems
-as one stack; chunks are sized by a fixed memory budget.
+numbers ``sample_nodes`` gives) and evaluates every node at many grid
+points in one pass.  On the complete family, whose ``lambda2`` is exactly
+``w n``, a trial takes every grid point at once in O(n) work per point
+and forms no n x n matrix: the closed-loop transfer matrix is a diagonal
+plus a rank-one term (Sherman-Morrison), normed by batched Golub-Kahan
+iterations.  On a ring family it solves and norms each chunk of grid
+points as one dense stack; chunks are sized by a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .coherence import (
-    FrequencyGrid, _fmt, _point_values, _spectral_norm, _transfer_stack, _warn_ill_conditioned,
+    FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt, _golub_kahan_norms, _point_values,
+    _spectral_norm, _svd_norm, _transfer_stack, _warn_ill_conditioned,
 )
 from .network import (
     LaplacianMatrix,
+    NonPositiveWeight,
     algebraic_connectivity,
     complete_graph,
     k_regular_ring,
@@ -345,9 +351,17 @@ def _finite_eval(g: RationalTF, s: complex) -> complex:
 
 @dataclass(frozen=True)
 class CompleteFamily:
-    """All-to-all unit-weight coupling; connectivity grows like n."""
+    """All-to-all coupling of one weight; connectivity grows like n.
+
+    ``L = w(nI - 11^T)``: its ``lambda2`` is ``w n``, and the experiment's
+    trials use that structure instead of the matrix.
+    """
 
     weight: float = 1.0
+
+    def __post_init__(self):
+        if not self.weight > 0.0:
+            raise NonPositiveWeight(f"weight {self.weight} must be positive")
 
     def build(self, n: int) -> LaplacianMatrix:
         return complete_graph(n, self.weight)
@@ -442,11 +456,12 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
     return float(sup_den / model.num_specs[0].lo)
 
 
-# Bytes of one (K, n, n) complex stack: a trial solves and norms its grid
-# points in chunks of at most this size (one point where a single n x n
-# system is larger).  A few stacks are alive at once, so a small budget
-# keeps the peak memory near that of one point at a time; past n ~ 100 the
-# LAPACK work outweighs the per-chunk overhead anyway.
+# Bytes of one (K, n, n) complex stack: a trial on a dense Laplacian (the
+# ring families) solves and norms its grid points in chunks of at most this
+# size (one point where a single n x n system is larger).  A few stacks are
+# alive at once, so a small budget keeps the peak memory near that of one
+# point at a time; past n ~ 100 the LAPACK work outweighs the per-chunk
+# overhead anyway.  Complete-family trials form no stack.
 _STACK_BYTES = 1 << 18
 
 
@@ -501,10 +516,86 @@ def _draw_tables(
     return tables[:, 0, :used], tables[:, 1, :used]
 
 
+def _complete_incoherence(
+    pts: Sequence, ghat_vals: np.ndarray, family: CompleteFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_max(T_k - ghat_k/n 11^T)`` at each record on the complete
+    graph of ``family``, and the condition estimates ``|A|_1 |T|_1``, in
+    O(n) work per point and with no n x n matrix.
+
+    With ``L = w(nI - 11^T)``, ``A = diag(1/g_i) + f L`` is the diagonal
+    ``1/g_i + f w n`` minus ``f w 11^T``, so (Sherman & Morrison 1950)
+    ``T = diag(d) + beta d d^T`` with ``d_i = 1/(1/g_i + f w n)`` and
+    ``beta = f w / (1 - f w sum_i d_i)``.  A node whose gain vanishes is
+    grounded as ``_transfer_stack`` grounds it, ``d_i = 0``.  Since
+    ``1 - f w n d_i = d_i/g_i``, the denominator equals
+    ``((n - n_kept) + sum_kept d_i/g_i)/n``, which does not cancel under
+    strong coupling as ``1 - f w sum_i d_i`` does; where it is zero the
+    system is singular.  ``T - ghat/n 11^T`` is a diagonal plus rank two,
+    so its products take O(n), and one batched Golub-Kahan run norms every
+    point; a point left without a certificate takes the SVD of the formed
+    matrix.  A point where some ``1/g_i + f w n`` is exactly zero goes
+    through ``_transfer_stack`` on the family's Laplacian.
+    ``PoleOfCoupling`` and ``SingularSystem`` come for the first failing
+    point, as from ``_transfer_stack``.
+    """
+    n = pts[0].inv.size
+    pole = np.array([is_at_infinity(pt.f) for pt in pts])
+    fw = family.weight * np.array([0j if p else pt.f for pt, p in zip(pts, pole)])
+    inv = np.array([pt.inv for pt in pts])
+    kept = np.ones(inv.shape, dtype=bool)
+    for k, pt in enumerate(pts):
+        kept[k, list(pt.vanished)] = False
+    diag = inv + (fw * n)[:, None]
+    zero_pivot = np.any(kept & (diag == 0), axis=1)
+    d = np.zeros_like(inv)
+    np.divide(1.0, diag, out=d, where=kept & (diag != 0))
+    denom = (n - kept.sum(axis=1) + (d * inv).sum(axis=1)) / n
+
+    norms = np.empty(len(pts))
+    cond = np.ones(len(pts))
+    lap = None
+    for k in np.flatnonzero(pole | zero_pivot | (denom == 0)):
+        if pole[k]:
+            raise PoleOfCoupling(pts[k].s)
+        if not zero_pivot[k]:
+            raise SingularSystem(pts[k].s)
+        if lap is None:
+            lap = family.build(n).matrix
+        t, cond[k : k + 1] = _transfer_stack([pts[k]], lap)
+        norms[k] = _spectral_norm(t[0], ghat_vals[k])
+
+    reg = np.flatnonzero(~zero_pivot)
+    d, inv, kept, fw = d[reg], inv[reg], kept[reg], fw[reg]
+    beta = fw / denom[reg]
+    c = ghat_vals[reg] / n
+
+    def apply(idx, v):
+        dk = d[idx]
+        along_d = beta[idx] * (dk * v).sum(axis=1)
+        return dk * v + along_d[:, None] * dk - (c[idx] * v.sum(axis=1))[:, None]
+
+    sigma = _golub_kahan_norms(apply, lambda idx, u: apply(idx, u.conj()).conj(), reg.size, n)
+    for j in np.flatnonzero(np.isnan(sigma)):
+        sigma[j] = _svd_norm(np.diag(d[j]) + beta[j] * np.outer(d[j], d[j]), ghat_vals[reg[j]])
+    norms[reg] = sigma
+
+    # A kept column of A holds 1/g_j + f w (n - 1) and -f w in each other
+    # kept row; a column of T holds d_j (1 + beta d_j) and beta d_i d_j.
+    m = kept.sum(axis=1)
+    a_norm = np.max(np.abs(inv + (fw * (n - 1))[:, None]), axis=1, where=kept, initial=0.0)
+    a_norm += (m - 1) * np.abs(fw)
+    abs_d = np.abs(d)
+    off_diag = np.abs(beta)[:, None] * (abs_d.sum(axis=1)[:, None] - abs_d)
+    t_norm = np.max(abs_d * (np.abs(1 + beta[:, None] * d) + off_diag), axis=1)
+    cond[reg] = np.where(m > 0, a_norm * t_norm, 1.0)
+    return norms, cond
+
+
 def _trial_measurements(
     model: RandomTFModel,
     n: int,
-    lap: LaplacianMatrix,
+    graph: CompleteFamily | LaplacianMatrix,
     points: np.ndarray,
     f_vals: list,
     ghat_vals: np.ndarray,
@@ -513,15 +604,18 @@ def _trial_measurements(
 ) -> tuple[float, float, float]:
     """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
 
-    ``f_vals`` holds the coupling filter's value at each grid point.  The
-    grid is taken in chunks: each chunk's points are evaluated in one pass,
-    solved as one stack and normed by ``_spectral_norm``.
+    ``f_vals`` holds the coupling filter's value at each grid point.  On a
+    ``CompleteFamily`` every grid point is evaluated in one pass and normed
+    by ``_complete_incoherence``.  On a Laplacian the grid is taken in
+    chunks: each chunk's points are evaluated in one pass, solved as one
+    stack and normed by ``_spectral_norm``.
     """
     num, den = _draw_tables(model, n, seed, (n, trial))
+    complete = isinstance(graph, CompleteFamily)
+    step = max(1, len(points) if complete else _STACK_BYTES // (16 * n * n))
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
-    step = max(1, _STACK_BYTES // (16 * n * n))
     for start in range(0, len(points), step):
         chunk = slice(start, start + step)
         pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
@@ -529,10 +623,14 @@ def _trial_measurements(
             max_inv = max(max_inv, pt.inv_max)
             gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
             sup_gbar = max(sup_gbar, gbar_dev)
-        t, cond = _transfer_stack(pts, lap.matrix)
+        if complete:
+            norms, cond = _complete_incoherence(pts, ghat_vals[chunk], graph)
+        else:
+            t, cond = _transfer_stack(pts, graph.matrix)
+            t -= (ghat_vals[chunk] / n)[:, None, None]
+            norms = _spectral_norm(t)
         _warn_ill_conditioned(pts, cond)
-        t -= (ghat_vals[chunk] / n)[:, None, None]
-        sup_inc = max(sup_inc, float(_spectral_norm(t).max()))
+        sup_inc = max(sup_inc, float(norms.max()))
     return sup_gbar, sup_inc, max_inv
 
 
@@ -551,12 +649,16 @@ def concentration_experiment(
 ) -> ConcentrationTable:
     """Monte-Carlo concentration experiment across network sizes.
 
-    For each size ``n`` and each trial, samples node dynamics, builds the
-    graph-family Laplacian, and measures over the grid both the coherent
-    deviation ``sup |gbar_n - ghat|`` and the matrix deviation
-    ``sup |T_n - (1/n) ghat 11^T|`` (spectral norm).  Rows report the
-    trial mean of the former, mean/max of the latter, and the fraction of
-    trials whose matrix deviation reached ``epsilon``.
+    For each size ``n`` and each trial, samples node dynamics and
+    measures over the grid both the coherent deviation
+    ``sup |gbar_n - ghat|`` and the matrix deviation
+    ``sup |T_n - (1/n) ghat 11^T|`` (spectral norm).  Rows report
+    ``lambda2``, the trial mean of the former, mean/max of the latter, and
+    the fraction of trials whose matrix deviation reached ``epsilon``.
+    A ``CompleteFamily``'s Laplacian is not built: its ``lambda2`` is
+    ``w n`` and its trials use the structure of ``L = w(nI - 11^T)``
+    (see ``_complete_incoherence`` for the one exception).  Other families
+    build their Laplacian once per size.
 
     Trials are independent; each derives its random substream from
     ``(seed, n, trial)``, so the table is reproducible.  Static unit
@@ -594,10 +696,13 @@ def concentration_experiment(
     rows = []
     observed_max_inv = 0.0
     for n in sizes:
-        lap = graph_family.build(n)
-        lam2 = algebraic_connectivity(lap)
+        if isinstance(graph_family, CompleteFamily):
+            graph, lam2 = graph_family, float(graph_family.weight * n)
+        else:
+            graph = graph_family.build(n)
+            lam2 = algebraic_connectivity(graph)
         results = [
-            _trial_measurements(model, n, lap, points, f_vals, ghat_vals, root, t)
+            _trial_measurements(model, n, graph, points, f_vals, ghat_vals, root, t)
             for t in range(trials)
         ]
         gbar_devs = [r[0] for r in results]

@@ -1,5 +1,6 @@
 """Tests for random node sampling and dynamics concentration."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -39,12 +40,24 @@ from coherelab.concentration import (
     expected_dynamics,
     sample_nodes,
     _STACK_BYTES,
+    _complete_incoherence,
     _draw_tables,
     _trial_measurements,
 )
-from coherelab.coherence import PoleOfCoupling, SingularSystem, _node_tables
+from coherelab import concentration
+from coherelab.coherence import (
+    PoleOfCoupling,
+    SingularSystem,
+    _node_tables,
+    _point_values,
+    _spectral_norm,
+    _transfer_stack,
+)
 from coherelab.errors import IllConditionedWarning
-from coherelab.rational import AT_INFINITY, ExcessiveDegree, simplify
+from coherelab.network import NonPositiveWeight
+from coherelab.rational import (
+    AT_INFINITY, DEFAULT_TOL_ZERO, ExcessiveDegree, IndeterminateAt, simplify,
+)
 
 UNIT_COUPLING = RationalTF([1.0], [1.0])
 
@@ -301,6 +314,165 @@ class TestTrialTables:
         assert peak < 6 * chunk
 
 
+def _records(model, n, points, f_vals, seed=5, trial=0):
+    num, den = _draw_tables(model, n, seed, (n, trial))
+    return _point_values(num, den, points, f_vals, DEFAULT_TOL_ZERO)
+
+
+def _dense_norms(pts, ghats, lap):
+    """Norms and condition estimates at the records as a dense trial takes them."""
+    t, cond = _transfer_stack(pts, lap.matrix)
+    t -= (ghats / lap.n)[:, None, None]
+    return _spectral_norm(t), cond
+
+
+class TestCompleteStructure:
+    """Complete-family trials through the Sherman-Morrison form of T."""
+
+    BIPROPER = RandomTFModel(
+        (Uniform(0.5, 2.0), Constant(1.0)), (Uniform(0.5, 2.0), Constant(1.0)), seed=4
+    )
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 100, 300])
+    def test_norms_and_estimates_match_the_dense_path(self, n):
+        # The biproper population behind a 3/(s+1) coupling, weight 0.7; at
+        # one point two gains vanish (one for n = 2), at another every gain.
+        family = CompleteFamily(0.7)
+        coupling = RationalTF([3.0], [1.0, 1.0])
+        points = FrequencyGrid.linear(0.3, 0.2, 3.0, 6).points
+        f_vals = [tf_eval(coupling, s) for s in points]
+        ghats = 0.8 / (1.0 + 0.1 * points)
+        pts = _records(self.BIPROPER, n, points, f_vals)
+        grounded = sorted({0, n - 2})
+        inv = pts[1].inv.copy()
+        inv[grounded] = 0.0
+        pts[1] = dataclasses.replace(pts[1], inv=inv, vanished=tuple(grounded), gbar=0j)
+        pts[3] = dataclasses.replace(pts[3], inv=np.zeros(n, dtype=complex),
+                                     vanished=tuple(range(n)), gbar=0j)
+        norms, cond = _complete_incoherence(pts, ghats, family)
+        want, want_cond = _dense_norms(pts, ghats, family.build(n))
+        np.testing.assert_allclose(norms, want, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(cond, want_cond, rtol=1e-9, atol=0.0)
+
+        structured = _trial_measurements(self.BIPROPER, n, family, points, f_vals, ghats, 5, 1)
+        dense = _trial_measurements(self.BIPROPER, n, family.build(n), points, f_vals, ghats, 5, 1)
+        assert structured[0::2] == dense[0::2]
+        assert structured[1] == pytest.approx(dense[1], rel=1e-11, abs=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double carries no extra precision here")
+    def test_norm_is_accurate_on_the_bench_population(self):
+        # Reference: M = T - ghat/n 11^T formed in extended precision from the
+        # same doubles (plain Sherman-Morrison), rounded once, then SVD'd.
+        model = gain_over_integrator(seed=1)
+        n = 100
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 8).points
+        ghats = expected_dynamics(model).evaluate_many(points)
+        worst = 0.0
+        for trial in range(3):
+            pts = _records(model, n, points, [1.0 + 0j] * len(points), seed=1, trial=trial)
+            norms, _ = _complete_incoherence(pts, ghats, CompleteFamily())
+            for pt, ghat, norm in zip(pts, ghats, norms):
+                f = np.clongdouble(pt.f)
+                d = 1 / (pt.inv.astype(np.clongdouble) + f * n)
+                m = np.diag(d) + f / (1 - f * d.sum()) * np.outer(d, d) - np.clongdouble(ghat) / n
+                want = np.linalg.svd(m.astype(complex), compute_uv=False)[0]
+                worst = max(worst, abs(norm - want) / want)
+        assert worst <= 1e-13
+
+    def test_ill_conditioned_points_warn_as_on_the_dense_path(self):
+        model = RandomTFModel((Uniform(1e14, 2e14),), (Constant(1.0),), seed=3)
+        n, seed = 6, 4
+        points = np.array([0.5 + 0.5j, 0.5 + 1.0j, 0.5 + 2.0j])
+        f_vals = [1e-16 + 0j, 1.0 + 0j, 2.0 + 0j]
+
+        def warned(graph):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _trial_measurements(model, n, graph, points, f_vals, np.ones(3), seed, 0)
+            return [(str(w.message).split(" has ")[0], w.filename)
+                    for w in caught if w.category is IllConditionedWarning]
+
+        assert warned(CompleteFamily()) == warned(complete_graph(n)) == [
+            (f"transfer-matrix solve at s = {s}", __file__) for s in points[1:]
+        ]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("pole_first", [True, False])
+    def test_failures_surface_at_the_same_point_as_on_the_dense_path(self, n, pole_first):
+        # k/s nodes at s = 0 give the singular system f L; f has a pole elsewhere.
+        points = np.array([0.5 + 1.0j, 0.0 + 0.0j, 0.5 + 2.0j])
+        f_vals = [1.0 + 0j, 0.3 + 0.4j, AT_INFINITY]
+        if pole_first:
+            points, f_vals = points[::-1], f_vals[::-1]
+
+        def failure(graph):
+            with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
+                _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
+                                    np.ones(3), 3, 0)
+            return type(caught.value), caught.value.s
+
+        assert failure(CompleteFamily()) == failure(complete_graph(n)) == (
+            (PoleOfCoupling, 0.5 + 2.0j) if pole_first else (SingularSystem, 0.0)
+        )
+
+    def test_indeterminate_nodes_surface_at_the_same_point_as_on_the_dense_path(self, monkeypatch):
+        # (s - 1)/(s - 1), left unsimplified, is indeterminate at s = 1.
+        tables = np.array([[-1.0, 1.0], [2.0, 0.0], [3.0, 0.0]]), np.array([[-1.0, 1.0]] * 3)
+        monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
+        points = np.array([0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j])
+        for graph in (CompleteFamily(), complete_graph(3)):
+            with pytest.raises(IndeterminateAt) as caught:
+                _trial_measurements(gain_over_integrator(), 3, graph, points, [1.0 + 0j] * 3,
+                                    np.ones(3), 3, 0)
+            assert caught.value.s == 1.0
+
+    def test_a_zero_diagonal_point_goes_through_the_dense_solve(self, monkeypatch):
+        builds = []
+        build = CompleteFamily.build
+
+        def counting_build(self, n):
+            builds.append(n)
+            return build(self, n)
+
+        monkeypatch.setattr(CompleteFamily, "build", counting_build)
+        family, n = CompleteFamily(0.5), 4
+        points = np.array([0.5 + 1.0j, 0.5 + 1.5j, 0.5 + 2.0j])
+        ghats = np.array([0.4 - 0.2j, 0.3, 0.1j])
+        pts = _records(gain_over_integrator(), n, points, [1.0 + 0j] * 3)
+        _complete_incoherence(pts, ghats, family)
+        assert builds == []
+        inv = pts[1].inv.copy()
+        inv[2] = -family.weight * n  # 1/g_2 + f w n is exactly zero
+        pts[1] = dataclasses.replace(pts[1], inv=inv)
+        norms, cond = _complete_incoherence(pts, ghats, family)
+        assert builds == [n]
+        want, want_cond = _dense_norms(pts, ghats, complete_graph(n, family.weight))
+        np.testing.assert_allclose(norms, want, rtol=1e-11, atol=0.0)
+        assert cond[1] == want_cond[1]
+
+    def test_runs_at_ten_thousand_nodes_without_an_n_by_n_matrix(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("dense n x n path taken")
+
+        for name in ("complete_graph", "algebraic_connectivity", "_transfer_stack", "_svd_norm"):
+            monkeypatch.setattr(concentration, name, refused)
+        n = 10_000
+        tracemalloc.start()
+        try:
+            table = concentration_experiment(
+                gain_over_integrator(), CompleteFamily(2.0), [n],
+                FrequencyGrid.linear(0.5, 0.1, 2.0, 3), 2, 0.1, seed=1,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (row,) = table.rows
+        assert row.lambda2 == 2.0 * n
+        assert 0.0 < row.sup_incoherence_mean <= row.sup_incoherence_max < 0.1
+        assert peak < 16 * n * n / 100
+
+
 class TestExpectedDynamics:
     def test_uniform_gain_closed_form(self):
         ghat = expected_dynamics(gain_over_integrator(1.0, 5.0))
@@ -437,6 +609,11 @@ class TestConcentrationExperiment:
         fam = RingFamily(0.15)
         lam = [algebraic_connectivity(fam.build(n)) for n in (60, 120, 240)]
         assert lam[0] < lam[1] < lam[2]
+
+    def test_complete_weight_validation(self):
+        for weight in (0.0, -1.0, math.nan):
+            with pytest.raises(NonPositiveWeight):
+                CompleteFamily(weight)
 
     def test_ring_ratio_validation(self):
         with pytest.raises(ValidationError):
