@@ -566,23 +566,41 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def _ritz_certificate(b: np.ndarray, beta: float | np.ndarray):
-    """The top singular value ``sigma`` of the bidiagonal ``B_k`` (the last
-    two axes of ``b``, a stack of them allowed) and whether the residual
-    certificate ``|beta_k p_k| <= 1e-13 sigma`` accepts it, ``p`` its left
-    singular vector; see ``_spectral_norm``."""
+def _ritz_certificate(b: np.ndarray, beta: np.ndarray):
+    """The top singular value ``sigma`` of each bidiagonal ``B_k`` (the last
+    two axes of the stack ``b``) and whether the residual certificate
+    ``|beta_k p_k| <= 1e-13 sigma`` accepts it, ``p`` its left singular
+    vector; see ``_spectral_norm``."""
     left, sv, _ = np.linalg.svd(b)
-    return sv[..., 0], beta * np.abs(left[..., -1, 0]) <= _LANCZOS_RTOL * sv[..., 0]
+    return sv[:, 0], beta * np.abs(left[:, -1, 0]) <= _LANCZOS_RTOL * sv[:, 0]
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``w`` minus its projection on the orthonormal rows of ``basis``
     (classical Gram-Schmidt, applied twice); for ``(K, n)`` rows against a
-    ``(K, k, n)`` stack of bases, each row against its own basis."""
+    ``(K, k, n)`` stack of bases, each row against its own basis.  The
+    coefficients ``conj(basis @ conj(w))`` need no conjugated copy of the
+    basis and equal ``conj(basis) @ w`` bit for bit."""
     for _ in range(2):
-        coef = (basis.conj() @ w[..., None])[..., 0]
+        coef = (basis @ w.conj()[..., None])[..., 0].conj()
         w = w - (coef[..., None, :] @ basis)[..., 0, :]
     return w
+
+
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``w``, bit for bit ``np.linalg.norm``
+    of the row alone (two real dot products)."""
+    re, im = w.real[:, None, :], w.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _keep_rows(live: np.ndarray, used: int, *stacks: np.ndarray) -> list[np.ndarray]:
+    """Each stack's members that ``live`` selects, moved to its front in
+    place (their first ``used`` rows only), as views of the front."""
+    m = np.count_nonzero(live)
+    for x in stacks:
+        x[:m, :used] = x[live, :used]
+    return [x[:m] for x in stacks]
 
 
 def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
@@ -593,103 +611,75 @@ def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
     The operators are seen only through products: ``apply(idx, V)`` returns
     the rows ``X_{idx[r]} V[r]`` and ``adjoint(idx, U)`` the rows
     ``X_{idx[r]}^H U[r]``, ``idx`` listing the operators still iterating.
-    Each operator takes the steps ``_golub_kahan_norm`` would take on it,
-    from the same start vector, to the same certificate and step limit,
-    and leaves the batch when it is certified or has failed.  One dense
-    matrix keeps its own loop there: this one's batch bookkeeping costs
-    more per step than a single norm can spare.
+    Every operator starts from the same vector and takes the steps it
+    would take alone; it leaves the batch when it is certified or has
+    failed.  The Krylov bases take ``16 n (2 _LANCZOS_MAX_STEPS + 1)``
+    bytes per operator, allocated once.
     """
     steps = _LANCZOS_MAX_STEPS
     sigma = np.full(count, np.nan)
     idx = np.arange(count)
-    v = np.tile(_start_vector(n), (count, 1, 1))
-    with np.errstate(all="ignore"):  # a non-finite operator goes to the SVD, silently
-        w = apply(idx, v[:, 0])
+    v = np.empty((count, steps + 1, n), dtype=complex)
+    u = np.empty((count, steps, n), dtype=complex)
     # B_k = b[:, :k+1, :k+1], upper bidiagonal: alpha_j on the diagonal and
     # beta_j at [j, j+1], so beta_k sits just outside B_k.
     b = np.zeros((count, steps, steps + 1))
-    b[:, 0, 0] = np.linalg.norm(w, axis=1)
-    live = (0.0 < b[:, 0, 0]) & (b[:, 0, 0] < math.inf)
-    idx, v, w, b = idx[live], v[live], w[live], b[live]
-    u = (w / b[:, 0, :1])[:, None]
-    for k in range(steps if idx.size else 0):
-        w = adjoint(idx, u[:, k]) - b[:, k, k, None] * v[:, k]
-        w = _orthogonalize(w, v)
-        beta = b[:, k, k + 1] = np.linalg.norm(w, axis=1)
+    v[:, 0] = _start_vector(n)
+    with np.errstate(all="ignore"):  # a non-finite operator goes to the SVD, silently
+        w = apply(idx, v[:, 0])
+    alpha = _row_norms(w)
+    live = (0.0 < alpha) & (alpha < math.inf)
+    for k in range(steps):
+        kept = np.count_nonzero(live)
+        if not kept:
+            break
+        if kept < idx.size:
+            idx, w, alpha = idx[live], w[live], alpha[live]
+            v, u, b = _keep_rows(live, k + 1, v, u, b)
+        b[:, k, k] = alpha
+        u[:, k] = w / alpha[:, None]
+        w = adjoint(idx, u[:, k]) - alpha[:, None] * v[:, k]
+        w = _orthogonalize(w, v[:, : k + 1])
+        beta = b[:, k, k + 1] = _row_norms(w)
         top, done = _ritz_certificate(b[:, : k + 1, : k + 1], beta)
         sigma[idx[done]] = top[done]
-        live = ~done & (beta < math.inf) & (k + 1 < steps)
+        live = ~done & (beta < math.inf)
         kept = np.count_nonzero(live)
+        if k + 1 == steps or not kept:
+            break
         if kept < idx.size:
-            if not kept:
-                break
-            idx, v, u, w, b, beta = (x[live] for x in (idx, v, u, w, b, beta))
-        v = np.concatenate([v, (w / beta[:, None])[:, None]], axis=1)
+            idx, w, beta = idx[live], w[live], beta[live]
+            v, u, b = _keep_rows(live, k + 1, v, u, b)
+        v[:, k + 1] = w / beta[:, None]
         w = apply(idx, v[:, k + 1]) - beta[:, None] * u[:, k]
-        w = _orthogonalize(w, u)
-        a = np.linalg.norm(w, axis=1)
-        live = a < math.inf
-        exact = a == 0.0
-        if np.count_nonzero(exact):
+        w = _orthogonalize(w, u[:, : k + 1])
+        alpha = _row_norms(w)
+        exact = alpha == 0.0
+        if exact.any():
             # X V_{k+2} = U_{k+1} [B_k, beta_k e_k] and its adjoint hold
             # exactly: the singular values of that block are X's.
             block = b[exact, : k + 1, : k + 2]
             sigma[idx[exact]] = np.linalg.svd(block, compute_uv=False)[:, 0]
-            live &= ~exact
-        kept = np.count_nonzero(live)
-        if kept < idx.size:
-            if not kept:
-                break
-            idx, v, u, w, b, a = (x[live] for x in (idx, v, u, w, b, a))
-        b[:, k + 1, k + 1] = a
-        u = np.concatenate([u, (w / a[:, None])[:, None]], axis=1)
+        live = ~exact & (alpha < math.inf)
     return sigma
 
 
-def _golub_kahan_norm(t: np.ndarray, shift: complex) -> float:
-    """``sigma_max(X)`` for ``X = T - shift/n 11^T`` by Golub-Kahan-Lanczos
-    bidiagonalization; see ``_spectral_norm``."""
+def _dense_norm(t: np.ndarray, shift: complex) -> float:
+    """``sigma_max(X)`` for ``X = T - shift/n 11^T`` by ``_golub_kahan_norms``
+    on the one operator ``X``, or by the full SVD where it finds none."""
     n = t.shape[0]
     c = shift / n
     c_conj = np.conj(c)
-    steps = _LANCZOS_MAX_STEPS
-    v = np.empty((steps + 1, n), dtype=complex)
-    u = np.empty((steps, n), dtype=complex)
-    alpha = np.zeros(steps)
-    beta = np.zeros(steps)
-    v[0] = _start_vector(n)
-    with np.errstate(all="ignore"):  # a non-finite T goes to the SVD, silently
-        w = t @ v[0] - c * v[0].sum()
-    alpha[0] = np.linalg.norm(w)
-    if not 0.0 < alpha[0] < math.inf:
-        return _svd_norm(t, shift)
-    u[0] = w / alpha[0]
-    for k in range(steps):
-        # X^H u_k = conj(conj(u_k) @ T) - conj(c) (sum u_k) 1
-        w = (u[k].conj() @ t).conj() - c_conj * u[k].sum() - alpha[k] * v[k]
-        w = _orthogonalize(w, v[: k + 1])
-        beta[k] = np.linalg.norm(w)
-        b = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
-        sigma, certified = _ritz_certificate(b, beta[k])
-        if certified:
-            return float(sigma)
-        if k + 1 == steps or not beta[k] < math.inf:
-            break
-        v[k + 1] = w / beta[k]
-        w = t @ v[k + 1] - c * v[k + 1].sum() - beta[k] * u[k]
-        w = _orthogonalize(w, u[: k + 1])
-        a = np.linalg.norm(w)
-        if a == 0.0:
-            # X V_{k+2} = U_{k+1} [B_k, beta_k e_k] and its adjoint hold
-            # exactly: the singular values of that block are X's.
-            b = np.hstack([b, np.zeros((k + 1, 1))])
-            b[k, k + 1] = beta[k]
-            return float(np.linalg.svd(b, compute_uv=False)[0])
-        if not a < math.inf:
-            break
-        alpha[k + 1] = a
-        u[k + 1] = w / a
-    return _svd_norm(t, shift)
+
+    def apply(_, v):
+        return (t @ v[0] - c * v[0].sum())[None]
+
+    def adjoint(_, u):
+        # X^H u = conj(conj(u) @ T) - conj(c) (sum u) 1
+        return ((u[0].conj() @ t).conj() - c_conj * u[0].sum())[None]
+
+    sigma = float(_golub_kahan_norms(apply, adjoint, 1, n)[0])
+    return _svd_norm(t, shift) if math.isnan(sigma) else sigma
 
 
 def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float | np.ndarray:
@@ -731,10 +721,10 @@ def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float | np.ndarray:
     if t.ndim == 3:
         if n < _LANCZOS_MIN_N:
             return np.linalg.svd(t, compute_uv=False).max(axis=1)
-        return np.array([_golub_kahan_norm(tk, 0) for tk in t])
+        return np.array([_dense_norm(tk, 0) for tk in t])
     if n < _LANCZOS_MIN_N:
         return _svd_norm(t, shift)
-    return _golub_kahan_norm(t, shift)
+    return _dense_norm(t, shift)
 
 
 def transfer_matrix(

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .coherence import (
-    FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt, _golub_kahan_norms, _point_values,
-    _spectral_norm, _svd_norm, _transfer_stack, _warn_ill_conditioned,
+    _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
+    _golub_kahan_norms, _point_values, _spectral_norm, _svd_norm, _transfer_stack,
+    _warn_ill_conditioned,
 )
 from .network import (
     LaplacianMatrix,
@@ -46,6 +47,7 @@ from .network import (
 from .rational import (
     DEFAULT_TOL_ZERO,
     MAX_DEGREE,
+    IndeterminateAt,
     RationalTF,
     _trim_rows,
     is_at_infinity,
@@ -461,8 +463,12 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
 # size (one point where a single n x n system is larger).  A few stacks are
 # alive at once, so a small budget keeps the peak memory near that of one
 # point at a time; past n ~ 100 the LAPACK work outweighs the per-chunk
-# overhead anyway.  Complete-family trials form no stack.
+# overhead anyway.  Complete-family trials form no stack; their chunks are
+# unions of these, replayed one of these at a time where they fail.
 _STACK_BYTES = 1 << 18
+# Bytes of the Golub-Kahan bases, 16 n (2 _LANCZOS_MAX_STEPS + 1) per
+# point, of one chunk of complete-family grid points (at least one point).
+_KRYLOV_BYTES = 1 << 23
 
 
 def _draw_tables(
@@ -532,8 +538,8 @@ def _complete_incoherence(
     ``((n - n_kept) + sum_kept d_i/g_i)/n``, which does not cancel under
     strong coupling as ``1 - f w sum_i d_i`` does; where it is zero the
     system is singular.  ``T - ghat/n 11^T`` is a diagonal plus rank two,
-    so its products take O(n), and one batched Golub-Kahan run norms every
-    point; a point left without a certificate takes the SVD of the formed
+    so its products take O(n), and one batched Golub-Kahan run norms all
+    the points; a point left without a certificate takes the SVD of the formed
     matrix.  A point where some ``1/g_i + f w n`` is exactly zero goes
     through ``_transfer_stack`` on the family's Laplacian.
     ``PoleOfCoupling`` and ``SingularSystem`` come for the first failing
@@ -604,31 +610,46 @@ def _trial_measurements(
 ) -> tuple[float, float, float]:
     """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
 
-    ``f_vals`` holds the coupling filter's value at each grid point.  On a
-    ``CompleteFamily`` every grid point is evaluated in one pass and normed
-    by ``_complete_incoherence``.  On a Laplacian the grid is taken in
-    chunks: each chunk's points are evaluated in one pass, solved as one
-    stack and normed by ``_spectral_norm``.
+    ``f_vals`` holds the coupling filter's value at each grid point.  The
+    grid is taken in chunks; each chunk's points are evaluated in one pass,
+    solved, normed and warned about where ill-conditioned before the next
+    chunk's.  On a Laplacian a chunk holds ``_STACK_BYTES`` of transfer
+    matrices, solved as one stack and normed by ``_spectral_norm``.  On a
+    ``CompleteFamily`` it holds whole such chunks, ``_KRYLOV_BYTES`` of
+    Golub-Kahan bases (at least one), normed by ``_complete_incoherence``;
+    a chunk that fails is replayed in the Laplacian's chunks, so errors and
+    warnings come at the same points, in the same order, on either graph.
     """
     num, den = _draw_tables(model, n, seed, (n, trial))
     complete = isinstance(graph, CompleteFamily)
-    step = max(1, len(points) if complete else _STACK_BYTES // (16 * n * n))
+    step = max(1, _STACK_BYTES // (16 * n * n))
+    span = step
+    if complete:
+        span *= max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1) * step))
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
-    for start in range(0, len(points), step):
-        chunk = slice(start, start + step)
-        pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
+    for start in range(0, len(points), span):
+        chunk = slice(start, start + span)
+        try:
+            pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
+            if complete:
+                norms, cond = _complete_incoherence(pts, ghat_vals[chunk], graph)
+            else:
+                t, cond = _transfer_stack(pts, graph.matrix)
+                t -= (ghat_vals[chunk] / n)[:, None, None]
+                norms = _spectral_norm(t)
+        except (IndeterminateAt, PoleOfCoupling, SingularSystem):
+            if span > step:  # one Laplacian chunk at a time: the first that fails raises
+                for sub in range(start, min(start + span, len(points)), step):
+                    part = slice(sub, sub + step)
+                    pts = _point_values(num, den, points[part], f_vals[part], DEFAULT_TOL_ZERO)
+                    _warn_ill_conditioned(pts, _complete_incoherence(pts, ghat_vals[part], graph)[1])
+            raise
         for pt, ghat in zip(pts, ghat_vals[chunk]):
             max_inv = max(max_inv, pt.inv_max)
             gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
             sup_gbar = max(sup_gbar, gbar_dev)
-        if complete:
-            norms, cond = _complete_incoherence(pts, ghat_vals[chunk], graph)
-        else:
-            t, cond = _transfer_stack(pts, graph.matrix)
-            t -= (ghat_vals[chunk] / n)[:, None, None]
-            norms = _spectral_norm(t)
         _warn_ill_conditioned(pts, cond)
         sup_inc = max(sup_inc, float(norms.max()))
     return sup_gbar, sup_inc, max_inv

@@ -39,6 +39,7 @@ from coherelab.concentration import (
     concentration_experiment,
     expected_dynamics,
     sample_nodes,
+    _KRYLOV_BYTES,
     _STACK_BYTES,
     _complete_incoherence,
     _draw_tables,
@@ -46,6 +47,7 @@ from coherelab.concentration import (
 )
 from coherelab import concentration
 from coherelab.coherence import (
+    _LANCZOS_MAX_STEPS,
     PoleOfCoupling,
     SingularSystem,
     _node_tables,
@@ -426,6 +428,51 @@ class TestCompleteStructure:
                 _trial_measurements(gain_over_integrator(), 3, graph, points, [1.0 + 0j] * 3,
                                     np.ones(3), 3, 0)
             assert caught.value.s == 1.0
+
+    def test_points_fail_and_warn_in_the_dense_order_where_chunks_hold_one_point(
+            self, monkeypatch):
+        # At n = 130 a dense trial solves one grid point per chunk: the
+        # ill-conditioned first point warns, the pole of f at the second
+        # raises, and the node indeterminate at the third is never reached.
+        # A complete-family chunk holds all three points and is replayed.
+        n = 130
+        assert _STACK_BYTES < 16 * n * n
+        gain = 1.5e14
+        tables = (np.array([[-gain, gain]] + [[gain, 0.0]] * (n - 1)),
+                  np.array([[-1.0, 1.0]] + [[1.0, 0.0]] * (n - 1)))
+        monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
+        points = np.array([0.5 + 1.0j, 0.5 + 2.0j, 1.0 + 0.0j])
+        f_vals = [1.0 + 0j, AT_INFINITY, 1.0 + 0j]
+
+        def events(graph):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(PoleOfCoupling) as raised:
+                    _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
+                                        np.ones(3), 3, 0)
+            return raised.value.s, [(str(w.message).split(" has ")[0], w.filename)
+                                    for w in caught if w.category is IllConditionedWarning]
+
+        assert events(CompleteFamily()) == events(complete_graph(n)) == (
+            0.5 + 2.0j, [("transfer-matrix solve at s = (0.5+1j)", __file__)]
+        )
+
+    def test_chunks_keep_memory_bounded_on_the_default_grid(self):
+        # 50 points (the CLI default) at n = 10^4: one chunk of every point
+        # would hold 50 pairs of Golub-Kahan bases, over 160 MiB; a chunk
+        # holds _KRYLOV_BYTES of bases, or one point's where that is more.
+        n = 10_000
+        bases = max(_KRYLOV_BYTES, 16 * n * (2 * _LANCZOS_MAX_STEPS + 1))
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 50).points
+        args = (gain_over_integrator(), n, CompleteFamily(), points, [1.0 + 0j] * len(points),
+                expected_dynamics(gain_over_integrator()).evaluate_many(points), 1, 0)
+        tracemalloc.start()
+        try:
+            _trial_measurements(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * bases
 
     def test_a_zero_diagonal_point_goes_through_the_dense_solve(self, monkeypatch):
         builds = []
