@@ -14,12 +14,12 @@ substream key, so results are independent of evaluation order.  Trials
 run one after another; ``COHERELAB_THREADS`` does not apply to them.  A
 trial draws its nodes straight into padded coefficient tables (the same
 numbers ``sample_nodes`` gives) and evaluates every node at many grid
-points in one pass.  On the complete family, whose ``lambda2`` is exactly
-``w n``, a trial takes every grid point at once in O(n) work per point
-and forms no n x n matrix: the closed-loop transfer matrix is a diagonal
-plus a rank-one term (Sherman-Morrison), normed by batched Golub-Kahan
-iterations.  On a ring family it solves and norms each chunk of grid
-points as one dense stack; chunks are sized by a fixed memory budget.
+points in one pass.  Grid points are taken in chunks sized by a fixed
+memory budget.  On the complete family, whose ``lambda2`` is exactly
+``w n``, a trial takes O(n) work per point and forms no n x n matrix: the
+closed-loop transfer matrix is a diagonal plus a rank-one term
+(Sherman-Morrison), normed by batched Golub-Kahan iterations.  On a ring
+family it solves and norms each chunk as one dense stack.
 """
 
 from __future__ import annotations
