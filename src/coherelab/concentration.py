@@ -12,9 +12,11 @@ their limits as the network size and connectivity grow.
 All randomness is counter-based: every draw is addressed by an explicit
 substream key, so results are independent of evaluation order.  Trials
 run one after another; ``COHERELAB_THREADS`` does not apply to them.  A
-trial draws its nodes straight into padded coefficient tables (the same
-numbers ``sample_nodes`` gives) and evaluates every node at many grid
-points in one pass.  Grid points are taken in chunks sized by a fixed
+trial derives all n node substreams in one vectorized pass, bit for bit
+numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``), draws its
+nodes straight into padded coefficient tables (the same numbers
+``sample_nodes`` gives) and evaluates every node at many grid points in
+one pass.  Grid points are taken in chunks sized by a fixed
 memory budget.  On the complete family, whose ``lambda2`` is exactly
 ``w n``, a trial takes O(n) work per point and forms no n x n matrix: the
 closed-loop transfer matrix is a diagonal plus a rank-one term
@@ -31,6 +33,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from ._streams import check_spawn_key, substream, unit_table
 from .errors import ValidationError
 from .coherence import (
     _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
@@ -191,10 +194,6 @@ def _draw_tf(model: RandomTFModel, rng: np.random.Generator) -> RationalTF:
     return RationalTF(num, den)
 
 
-def _substream(seed: int, key: tuple) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def sample_nodes(
     model: RandomTFModel,
     n: int,
@@ -214,8 +213,11 @@ def sample_nodes(
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
     root = model.seed if seed is None else _check_seed(seed)
+    spawn_prefix = check_spawn_key(spawn_prefix)
+    # One generator per draw: building each RationalTF costs more than its
+    # stream.  Trials build none and take their streams from unit_table.
     return [
-        _draw_tf(model, _substream(root, (*spawn_prefix, i))) for i in range(n)
+        _draw_tf(model, substream(root, (*spawn_prefix, i))) for i in range(n)
     ]
 
 
@@ -323,7 +325,8 @@ def expected_dynamics(
 
         def evaluate_many(points: np.ndarray) -> np.ndarray:
             batch = next(batches)
-            rng = _substream(root, (batch,))
+            # One stream per batch: it draws method.draws values per slot.
+            rng = substream(root, (batch,))
             num_coeffs = draw_columns(rng, model.num_specs)
             den_coeffs = draw_columns(rng, model.den_specs)
             out = np.empty(len(points), dtype=complex)
@@ -478,9 +481,11 @@ def _draw_tables(
     ``simplify`` of each ``sample_nodes(model, n, seed, spawn_prefix=...)`` draw.
 
     Node ``i`` takes substream ``spawn_prefix + (i,)``'s draws in slot
-    order (numerator, then denominator) and is normalized as
-    ``RationalTF`` normalizes it: trimmed, divided by the leading
-    denominator coefficient, trimmed again.  Only a node whose numerator
+    order (numerator, then denominator); ``unit_table`` derives the ``n``
+    substreams' ``random()`` doubles in one vectorized pass, and each
+    ``Uniform`` slot maps its double as ``Generator.uniform`` does.  Each
+    node is normalized as ``RationalTF`` normalizes it: trimmed, divided by
+    the leading denominator coefficient, trimmed again.  Only a node whose numerator
     is not a nonzero constant and whose denominator is not constant can
     change under ``simplify``; only those nodes, and those ``RationalTF``
     rejects, are built and simplified one by one.
@@ -496,7 +501,7 @@ def _draw_tables(
                 drawn.append((side, k, spec))
     if drawn:
         # Generator.uniform(lo, hi) computes lo + (hi - lo) * random().
-        unit = np.array([_substream(seed, (*spawn_prefix, i)).random(len(drawn)) for i in range(n)])
+        unit = unit_table(seed, spawn_prefix, n, len(drawn))
         lo = np.array([spec.lo for _, _, spec in drawn])
         hi = np.array([spec.hi for _, _, spec in drawn])
         rows, cols = zip(*[(side, k) for side, k, _ in drawn])

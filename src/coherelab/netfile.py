@@ -32,7 +32,7 @@ from .errors import ValidationError
 from .coherence import NetworkModel
 from .concentration import Constant, RandomTFModel, Uniform
 from .network import laplacian_from_edges
-from .rational import DEFAULT_TOL_CANCEL, RationalTF, tf_from_text
+from .rational import DEFAULT_TOL_CANCEL, RationalTF, _coeffs_text, tf_from_text
 
 __all__ = [
     "parse_network_text",
@@ -170,9 +170,7 @@ def read_network_file(
 
 
 def _tf_line(g: RationalTF) -> str:
-    num = " ".join(repr(float(c)) for c in g.num.coeffs)
-    den = " ".join(repr(float(c)) for c in g.den.coeffs)
-    return f"num {num} / den {den}"
+    return f"num {_coeffs_text(g.num)} / den {_coeffs_text(g.den)}"
 
 
 def network_file_text(net: NetworkModel) -> str:

@@ -453,11 +453,14 @@ def tf_approx_equal(a: RationalTF, b: RationalTF, tol: float = 1e-9) -> bool:
             and np.allclose(a.den.coeffs, b.den.coeffs, rtol=0.0, atol=tol * scale))
 
 
+def _coeffs_text(p: Polynomial) -> str:
+    """``p``'s coefficients, ascending, as round-trip exact reprs."""
+    return " ".join(repr(float(c)) for c in p.coeffs)
+
+
 def tf_to_text(g: RationalTF) -> str:
     """Serialize as ``num: c0 c1 ... / den: d0 d1 ...`` (round-trip exact)."""
-    num = " ".join(repr(float(c)) for c in g.num.coeffs)
-    den = " ".join(repr(float(c)) for c in g.den.coeffs)
-    return f"num: {num} / den: {den}"
+    return f"num: {_coeffs_text(g.num)} / den: {_coeffs_text(g.den)}"
 
 
 def tf_from_text(text: str) -> RationalTF:

@@ -55,7 +55,8 @@ from coherelab.coherence import (
     _spectral_norm,
     _transfer_stack,
 )
-from coherelab.errors import IllConditionedWarning
+from coherelab import _streams
+from coherelab.errors import IllConditionedWarning, NumericalError
 from coherelab.network import NonPositiveWeight
 from coherelab.rational import (
     AT_INFINITY, DEFAULT_TOL_ZERO, ExcessiveDegree, IndeterminateAt, simplify,
@@ -155,6 +156,49 @@ class TestSampleNodes:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValidationError):
             sample_nodes(gain_over_integrator(), 0)
+
+    @pytest.mark.parametrize("prefix", [(-1,), (1.5,), ("a",), (True,), (3, -2)])
+    def test_rejects_a_spawn_prefix_of_other_than_non_negative_ints(self, prefix):
+        with pytest.raises(ValidationError, match="spawn key"):
+            sample_nodes(gain_over_integrator(), 2, spawn_prefix=prefix)
+
+
+# A spawn-key element of one uint32 word (0 among them) or of two or three.
+_KEY_ELEMENT = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
+
+
+class TestUnitTable:
+    """A trial's node substreams, derived in bulk, must be numpy's own."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        prefix=st.lists(_KEY_ELEMENT, max_size=3).map(tuple),
+        n=st.integers(1, 300),
+        m=st.integers(1, 4),
+    )
+    @example(seed=0, prefix=(), n=1, m=1)
+    @example(seed=2**32 - 1, prefix=(0, 2**32), n=3, m=4)
+    @example(seed=2**32, prefix=(0,), n=300, m=2)
+    @example(seed=2**64 - 1, prefix=(2**64 - 1, 7), n=2, m=3)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_numpy_generators_bit_for_bit(self, seed, prefix, n, m):
+        table = _streams.unit_table(seed, prefix, n, m)
+        reference = np.array(
+            [_streams.substream(seed, (*prefix, i)).random(m) for i in range(n)]
+        )
+        assert table.tobytes() == reference.tobytes()
+
+    def test_a_row_zero_that_numpy_does_not_give_raises(self, monkeypatch):
+        derive = _streams._pcg64_random
+
+        def off_by_one_ulp(pool, m):
+            table = derive(pool, m)
+            table[0, 0] = np.nextafter(table[0, 0], 1.0)
+            return table
+
+        monkeypatch.setattr(_streams, "_pcg64_random", off_by_one_ulp)
+        with pytest.raises(NumericalError, match="SeedSequence"):
+            _streams.unit_table(1, (5, 0), 5, 1)
 
 
 _SLOT = st.one_of(
