@@ -33,11 +33,12 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
-# The default PCG64 multiplier, 47026247687942121848144207491837523525,
-# split into its high and low 64 bits and the low word's 32-bit limbs.
-_MULT_HI = np.uint64(2549297995355413924)
-_MULT_LO = np.uint64(4865540595714422341)
-_MULT_LO_LIMBS = np.uint64(4865540595714422341 & _MASK32), np.uint64(4865540595714422341 >> 32)
+# The default PCG64 multiplier, split into its high and low 64 bits and
+# the low word's 32-bit limbs.
+_MULT = 47026247687942121848144207491837523525
+_MULT_HI = np.uint64(_MULT >> 64)
+_MULT_LO = np.uint64(_MULT & (2**64 - 1))
+_MULT_LO_LIMBS = np.uint64(_MULT & _MASK32), np.uint64((_MULT >> 32) & _MASK32)
 
 
 def check_spawn_key(key) -> tuple:
@@ -79,23 +80,20 @@ def _words(value: int) -> list[int]:
     return words
 
 
-class _HashConst:
-    """``SeedSequence``'s running hash constant: the same sequence for any data."""
-
-    def __init__(self, init: int, mult: int):
-        self.value = init
-        self.mult = mult
-
-    def next(self) -> int:
-        current = self.value
-        self.value = (current * self.mult) & _MASK32
-        return current
+def _hash_consts(value: int, mult: int):
+    """``SeedSequence``'s running hash constant before and after each of its
+    updates: the same sequence for any data."""
+    while True:
+        updated = (value * mult) & _MASK32
+        yield value, updated
+        value = updated
 
 
-def _hashmix(value, hash_const: _HashConst):
-    """``hashmix`` of a Python int or a uint64 array of uint32 words."""
-    const = hash_const.next()
-    value = ((value ^ const) * ((const * _MULT_A) & _MASK32)) & _MASK32
+def _hashmix(value, hash_consts):
+    """``SeedSequence``'s word hash (``hashmix``, and each word of
+    ``generate_state``) of a Python int or a uint64 array of uint32 words."""
+    before, after = next(hash_consts)
+    value = ((value ^ before) * after) & _MASK32
     return value ^ (value >> _XSHIFT)
 
 
@@ -116,17 +114,17 @@ def _pool_words(seed: int, prefix: tuple, n: int) -> list[np.ndarray]:
     entropy += [0] * (_POOL_SIZE - len(entropy))
     for k in prefix:
         entropy += _words(k)
-    hash_const = _HashConst(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, hash_const) for word in entropy[:_POOL_SIZE]]
+    hash_consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, hash_consts) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_consts))
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
+            pool[dst] = _mix(pool[dst], _hashmix(word, hash_consts))
     i = np.arange(n, dtype=np.uint64)
-    return [_mix(np.uint64(word), _hashmix(i, hash_const)) for word in pool]
+    return [_mix(np.uint64(word), _hashmix(i, hash_consts)) for word in pool]
 
 
 def _mul_hi64(a: np.ndarray, b_limbs: tuple) -> np.ndarray:
@@ -159,14 +157,12 @@ def _pcg64_random(pool: list[np.ndarray], m: int) -> np.ndarray:
     Each double is ``(x >> 11) 2**-53`` of the XSL-RR output
     ``rotr64(hi ^ lo, hi >> 58)`` taken after a step.
     """
-    hash_const = _HashConst(_INIT_B, _MULT_B)
-
-    def state_word(k):
-        const = hash_const.next()
-        word = ((pool[k % _POOL_SIZE] ^ const) * ((const * _MULT_B) & _MASK32)) & np.uint64(_MASK32)
-        return word ^ (word >> np.uint64(_XSHIFT))
-
-    v0, v1, v2, v3 = [state_word(k) | (state_word(k + 1) << np.uint64(32)) for k in range(0, 8, 2)]
+    hash_consts = _hash_consts(_INIT_B, _MULT_B)
+    # The eight words cycle through the pool twice, low word first.
+    v0, v1, v2, v3 = [
+        _hashmix(low, hash_consts) | (_hashmix(high, hash_consts) << np.uint64(32))
+        for low, high in [pool[:2], pool[2:]] * 2
+    ]
     del pool  # the draws need only the seeds and increments
     inc_hi = (v2 << np.uint64(1)) | (v3 >> np.uint64(63))
     inc_lo = (v3 << np.uint64(1)) | np.uint64(1)
