@@ -16,8 +16,8 @@ trial derives all n node substreams in one vectorized pass, bit for bit
 numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``), draws its
 nodes straight into padded coefficient tables (the same numbers
 ``sample_nodes`` gives) and evaluates every node at many grid points in
-one pass.  Grid points are taken in chunks sized by a fixed
-memory budget.  On the complete family, whose ``lambda2`` is exactly
+one pass.  Grid points are taken in chunks sized by a fixed memory
+budget.  On the complete family, whose ``lambda2`` is exactly
 ``w n``, a trial takes O(n) work per point and forms no n x n matrix: the
 closed-loop transfer matrix is a diagonal plus a rank-one term
 (Sherman-Morrison), normed by batched Golub-Kahan iterations.  On a ring
@@ -485,10 +485,10 @@ def _draw_tables(
     substreams' ``random()`` doubles in one vectorized pass, and each
     ``Uniform`` slot maps its double as ``Generator.uniform`` does.  Each
     node is normalized as ``RationalTF`` normalizes it: trimmed, divided by
-    the leading denominator coefficient, trimmed again.  Only a node whose numerator
-    is not a nonzero constant and whose denominator is not constant can
-    change under ``simplify``; only those nodes, and those ``RationalTF``
-    rejects, are built and simplified one by one.
+    the leading denominator coefficient, trimmed again.  Only a node whose
+    numerator is not a nonzero constant and whose denominator is not
+    constant can change under ``simplify``; only those nodes, and those
+    ``RationalTF`` rejects, are built and simplified one by one.
     """
     sides = (model.num_specs, model.den_specs)
     raw = np.zeros((n, 2, max(map(len, sides))))
