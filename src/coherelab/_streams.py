@@ -19,6 +19,8 @@ HMC-CS-2014-0905) run on pairs of uint64 arrays.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NumericalError, ValidationError
@@ -41,12 +43,23 @@ _MULT_LO = np.uint64(_MULT & (2**64 - 1))
 _MULT_LO_LIMBS = np.uint64(_MULT & _MASK32), np.uint64((_MULT >> 32) & _MASK32)
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as a Python int where it is of an integer type other than
+    ``bool`` (``operator.index`` accepts it), else ``ValidationError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_spawn_key(key) -> tuple:
-    """``key`` as a tuple of non-negative ints, or ``ValidationError``."""
-    key = tuple(key)
+    """``key`` as a tuple of non-negative Python ints, or ``ValidationError``."""
+    key = tuple(check_int(k, "spawn key element") for k in key)
     for k in key:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValidationError(f"spawn key elements must be non-negative integers, got {k!r}")
+        if k < 0:
+            raise ValidationError(f"spawn key elements must be non-negative, got {k}")
     return key
 
 

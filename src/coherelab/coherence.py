@@ -394,7 +394,9 @@ class _PointValues:
     ``inv`` holds ``1/g_i(s)``, with zeros at the nodes listed in
     ``vanished`` (their gain is zero, so the inverse is infinite);
     ``f`` is the coupling filter value and ``gbar`` the coherent
-    dynamics, both possibly ``AT_INFINITY``.
+    dynamics, both possibly ``AT_INFINITY``.  An ``indeterminate`` record
+    has a node whose gain is 0/0 at ``s``; its other values mean nothing,
+    and every consumer raises ``IndeterminateAt`` on it.
     """
 
     s: complex
@@ -402,6 +404,7 @@ class _PointValues:
     inv: np.ndarray
     vanished: tuple[int, ...]
     gbar: ExtComplex
+    indeterminate: bool = False
 
     @property
     def inv_max(self) -> float:
@@ -446,8 +449,8 @@ def _point_values(
 
     A node polynomial counts as vanishing when its value is at most
     ``tol_zero`` times its evaluation envelope ``sum_k |c_k| |s|^k``;
-    a node whose numerator and denominator both vanish raises
-    ``IndeterminateAt`` at the first such point.
+    a point where some node's numerator and denominator both vanish is
+    marked ``indeterminate``.
     """
     z = np.asarray(points, dtype=complex).reshape(-1)
     num = _horner(num_table, z)
@@ -455,85 +458,70 @@ def _point_values(
     powers = np.abs(z)[:, None] ** np.arange(num_table.shape[1])
     num_small = np.abs(num) <= tol_zero * np.maximum(powers @ np.abs(num_table).T, 1e-300)
     den_small = np.abs(den) <= tol_zero * np.maximum(powers @ np.abs(den_table).T, 1e-300)
-    indeterminate = np.flatnonzero(np.any(num_small & den_small, axis=1))
-    if indeterminate.size:
-        raise IndeterminateAt(points[indeterminate[0]])
+    indeterminate = np.any(num_small & den_small, axis=1)
     finite = ~(num_small | den_small)
     inv = np.zeros(num.shape, dtype=complex)
     inv[finite] = den[finite] / num[finite]
     records = []
     for k, (s, f_val) in enumerate(zip(points, f_vals)):
         vanished = tuple(np.flatnonzero(num_small[k]).tolist())
-        records.append(
-            _PointValues(s, f_val, inv[k], vanished, _coherent_value(inv[k], vanished, tol_zero))
-        )
+        records.append(_PointValues(s, f_val, inv[k], vanished,
+                                    _coherent_value(inv[k], vanished, tol_zero),
+                                    bool(indeterminate[k])))
     return records
 
 
 def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
-    """Evaluate the coupling filter and all node inverses at ``s``."""
+    """Evaluate the coupling filter and all node inverses at ``s``; raises
+    ``IndeterminateAt`` where some node gain is 0/0."""
     f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
-    return _point_values(net._num, net._den, [s], [f_val], tol_zero)[0]
+    [pt] = _point_values(net._num, net._den, [s], [f_val], tol_zero)
+    if pt.indeterminate:
+        raise IndeterminateAt(s)
+    return pt
 
 
-def _transfer_stack(pts: Sequence[_PointValues],
-                    laplacian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-loop transfer matrices at the records, as one ``(K, n, n)``
-    stack, and their condition estimates ``|A|_1 |T|_1``.
+def _transfer(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
+    """Closed-loop transfer matrix at the record and its condition estimate
+    ``|A|_1 |T|_1``.
 
-    The only place that forms ``A = diag(1/g_i(s_k)) + f_k L``.  Nodes with
+    The only place that forms ``A = diag(1/g_i(s)) + f L``.  Nodes with
     vanishing gain pin their outputs to zero: their rows and columns of T
     are zero, and the rest is solved on the grounded Laplacian without them
-    (estimate 1 where every gain vanishes).  Points that ground the same
-    nodes are inverted as one stack, one LAPACK gesv per point against I.
-    ``PoleOfCoupling`` (infinite ``f``) and ``SingularSystem`` come for the
-    first point that fails, as solving one point after another gives them.
+    (estimate 1 where every gain vanishes).  Raises ``IndeterminateAt`` for
+    a record ``_point_values`` marked indeterminate, ``PoleOfCoupling``
+    where ``f`` is infinite and ``SingularSystem`` where A is singular.
     """
-    n = laplacian.shape[0]
+    if pt.indeterminate:
+        raise IndeterminateAt(pt.s)
+    if is_at_infinity(pt.f):
+        raise PoleOfCoupling(pt.s)
+    kept = np.arange(laplacian.shape[0])
+    if pt.vanished:
+        kept = np.delete(kept, pt.vanished)
+    a = complex(pt.f) * (laplacian[np.ix_(kept, kept)] if pt.vanished else laplacian)
+    a[np.diag_indices(kept.size)] += pt.inv[kept]
     try:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k, pt in enumerate(pts):
-            if is_at_infinity(pt.f):
-                raise PoleOfCoupling(pt.s)
-            groups.setdefault(pt.vanished, []).append(k)
-        t = None
-        cond = np.ones(len(pts))
-        for vanished, idx in groups.items():
-            kept = np.delete(np.arange(n), vanished)
-            f = np.array([pts[k].f for k in idx], dtype=complex)
-            a = f[:, None, None] * (laplacian[np.ix_(kept, kept)] if vanished else laplacian)
-            diag = np.arange(kept.size)
-            a[:, diag, diag] += np.array([pts[k].inv[kept] for k in idx])
-            try:
-                x = np.linalg.inv(a)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(pts[idx[0]].s) from exc
-            if kept.size:
-                cond[idx] = np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(x, 1, axis=(1, 2))
-            if len(idx) == len(pts) and not vanished:  # no copy of T where no gain vanishes
-                return x, cond
-            if t is None:
-                t = np.zeros((len(pts), n, n), dtype=complex)
-            t[np.ix_(idx, kept, kept)] = x
-        return t, cond
-    except (PoleOfCoupling, SingularSystem):
-        if len(pts) > 1:
-            for pt in pts:  # one point at a time: the first that fails raises
-                _transfer_stack([pt], laplacian)
-        raise
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(pt.s) from exc
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(x, 1)) if kept.size else 1.0
+    if not pt.vanished:
+        return x, cond
+    t = np.zeros(laplacian.shape, dtype=complex)
+    t[np.ix_(kept, kept)] = x
+    return t, cond
 
 
-def _warn_ill_conditioned(pts: Sequence[_PointValues], cond: np.ndarray,
-                          cond_limit: float = COND_LIMIT) -> None:
-    """An ``IllConditionedWarning`` for each point whose condition estimate
-    exceeds ``cond_limit``, attributed to the caller's caller."""
-    for pt, c in zip(pts, cond):
-        if c > cond_limit:
-            warnings.warn(
-                f"transfer-matrix solve at s = {pt.s} has condition estimate {float(c):.3e}",
-                IllConditionedWarning,
-                stacklevel=3,
-            )
+def _warn_ill_conditioned(pt: _PointValues, cond: float, cond_limit: float = COND_LIMIT) -> None:
+    """An ``IllConditionedWarning`` where the condition estimate at the
+    record exceeds ``cond_limit``, attributed to the caller's caller."""
+    if cond > cond_limit:
+        warnings.warn(
+            f"transfer-matrix solve at s = {pt.s} has condition estimate {float(cond):.3e}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
 
 
 def _coherent_matrix(gbar: complex, n: int) -> np.ndarray:
@@ -664,33 +652,14 @@ def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
     return sigma
 
 
-def _dense_norm(t: np.ndarray, shift: complex) -> float:
-    """``sigma_max(X)`` for ``X = T - shift/n 11^T`` by ``_golub_kahan_norms``
-    on the one operator ``X``, or by the full SVD where it finds none."""
-    n = t.shape[0]
-    c = shift / n
-    c_conj = np.conj(c)
+def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float:
+    """Largest singular value of ``X = T - shift/n 11^T`` for one n x n
+    matrix ``T``.
 
-    def apply(_, v):
-        return (t @ v[0] - c * v[0].sum())[None]
-
-    def adjoint(_, u):
-        # X^H u = conj(conj(u) @ T) - conj(c) (sum u) 1
-        return ((u[0].conj() @ t).conj() - c_conj * u[0].sum())[None]
-
-    sigma = float(_golub_kahan_norms(apply, adjoint, 1, n)[0])
-    return _svd_norm(t, shift) if math.isnan(sigma) else sigma
-
-
-def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float | np.ndarray:
-    """Largest singular value of ``X = T - shift/n 11^T``, the shifted
-    matrix never formed; a ``(K, n, n)`` stack (no shift) gives the
-    largest singular value of each of its matrices.
-
-    Below ``_LANCZOS_MIN_N`` this is a full SVD.  Above it,
-    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
-    (Golub & Kahan 1965) builds orthonormal ``U_k``, ``V_k`` and an upper
-    bidiagonal ``B_k`` with ``X V_k = U_k B_k`` and
+    Below ``_LANCZOS_MIN_N`` this is a full SVD.  Above it, the shifted
+    matrix is never formed: Golub-Kahan-Lanczos bidiagonalization with
+    full reorthogonalization (Golub & Kahan 1965) builds orthonormal
+    ``U_k``, ``V_k`` and an upper bidiagonal ``B_k`` with ``X V_k = U_k B_k`` and
     ``X^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T``, from a fixed seeded
     start vector, so the result does not depend on threads or call order.
     The top singular triplet ``(sigma, p, q)`` of ``B_k`` gives unit
@@ -717,14 +686,21 @@ def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float | np.ndarray:
     matrix to ``eps |T|`` absolute; the solve that produced ``T`` leaves
     larger errors than that in it.
     """
-    n = t.shape[-1]
-    if t.ndim == 3:
-        if n < _LANCZOS_MIN_N:
-            return np.linalg.svd(t, compute_uv=False).max(axis=1)
-        return np.array([_dense_norm(tk, 0) for tk in t])
+    n = t.shape[0]
     if n < _LANCZOS_MIN_N:
         return _svd_norm(t, shift)
-    return _dense_norm(t, shift)
+    c = shift / n
+    c_conj = np.conj(c)
+
+    def apply(_, v):
+        return (t @ v[0] - c * v[0].sum())[None]
+
+    def adjoint(_, u):
+        # X^H u = conj(conj(u) @ T) - conj(c) (sum u) 1
+        return ((u[0].conj() @ t).conj() - c_conj * u[0].sum())[None]
+
+    sigma = float(_golub_kahan_norms(apply, adjoint, 1, n)[0])
+    return _svd_norm(t, shift) if math.isnan(sigma) else sigma
 
 
 def transfer_matrix(
@@ -742,10 +718,10 @@ def transfer_matrix(
     ``IllConditionedWarning`` when the solve's condition estimate
     exceeds ``cond_limit``.
     """
-    pts = [_evaluate(net, s, tol_zero)]
-    t, cond = _transfer_stack(pts, net.laplacian.matrix)
-    _warn_ill_conditioned(pts, cond, cond_limit)
-    return t[0]
+    pt = _evaluate(net, s, tol_zero)
+    t, cond = _transfer(pt, net.laplacian.matrix)
+    _warn_ill_conditioned(pt, cond, cond_limit)
+    return t
 
 
 def transfer_matrix_direct(
@@ -822,8 +798,7 @@ def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> fl
     pt = _evaluate(net, s, tol_zero)
     if is_at_infinity(pt.gbar):
         raise PoleOfCoherent(s)
-    t = _transfer_stack([pt], net.laplacian.matrix)[0][0]
-    return _spectral_norm(t, pt.gbar)
+    return _spectral_norm(_transfer(pt, net.laplacian.matrix)[0], pt.gbar)
 
 
 def _effective_connectivity(f_val: ExtComplex, laplacian: LaplacianMatrix) -> float:
@@ -1030,8 +1005,7 @@ def _point_report(net: NetworkModel, pt: _PointValues, pole_f: bool, m1: float |
         return CoherenceReport(complex(pt.s), STATUS_POLE_F, None, None, None, eff, None,
                                multiplicity)
     try:
-        stack, cond = _transfer_stack([pt], net.laplacian.matrix)
-        t, cond = stack[0], cond[0]
+        t, cond = _transfer(pt, net.laplacian.matrix)
     except SingularSystem:
         # A pole of the closed loop itself: T does not exist there.  The
         # point is still classified (it typically coincides with a pole
@@ -1198,7 +1172,7 @@ def convergence_study(
 
     def one(alpha: float) -> ConvergenceRow:
         try:
-            t = _transfer_stack([pt], alpha * net.laplacian.matrix)[0][0]
+            t = _transfer(pt, alpha * net.laplacian.matrix)[0]
         except SingularSystem:
             if kind == "norm_T":
                 return ConvergenceRow(alpha, math.inf, None, kind)
@@ -1315,7 +1289,7 @@ def normalized_incoherence(
     though the raw incoherence is undefined at such points.
     """
     _, direction, pt = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
-    t = _transfer_stack([pt], net.laplacian.matrix)[0][0]
+    t = _transfer(pt, net.laplacian.matrix)[0]
     norm_t = _spectral_norm(t)
     if norm_t == 0.0:
         raise DegenerateGamma(f"transfer matrix vanishes at s = {s}")
@@ -1466,10 +1440,10 @@ def failure_experiment(
                     pt = _evaluate(net, s, tol_zero)
                     if is_at_infinity(pt.gbar):
                         continue
-                    t, _ = _transfer_stack([pt], scaled)
+                    t = _transfer(pt, scaled)[0]
                 except (PoleOfCoupling, SingularSystem, IndeterminateAt):
                     continue
-                val = _spectral_norm(t[0], pt.gbar)
+                val = _spectral_norm(t, pt.gbar)
                 if val > sup_val:
                     sup_val = val
                     arg = s

@@ -17,11 +17,13 @@ numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``), draws its
 nodes straight into padded coefficient tables (the same numbers
 ``sample_nodes`` gives) and evaluates every node at many grid points in
 one pass.  Grid points are taken in chunks sized by a fixed memory
-budget.  On the complete family, whose ``lambda2`` is exactly
-``w n``, a trial takes O(n) work per point and forms no n x n matrix: the
-closed-loop transfer matrix is a diagonal plus a rank-one term
-(Sherman-Morrison), normed by batched Golub-Kahan iterations.  On a ring
-family it solves and norms each chunk as one dense stack.
+budget, and a trial reports the first point that fails, in grid order,
+after warning about every ill-conditioned point before it.  On the
+complete family, whose ``lambda2`` is exactly ``w n``, a trial takes O(n)
+work per point and forms no n x n matrix: the closed-loop transfer matrix
+is a diagonal plus a rank-one term (Sherman-Morrison), normed by batched
+Golub-Kahan iterations.  On a ring family it solves and norms one dense
+point at a time.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._streams import check_spawn_key, substream, unit_table
+from ._streams import check_int, check_spawn_key, substream, unit_table
 from .errors import ValidationError
 from .coherence import (
     _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
-    _golub_kahan_norms, _point_values, _spectral_norm, _svd_norm, _transfer_stack,
+    _golub_kahan_norms, _point_values, _spectral_norm, _svd_norm, _transfer,
     _warn_ill_conditioned,
 )
 from .network import (
@@ -140,8 +142,7 @@ CoefficientSpec = Union[Constant, Uniform]
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    seed = check_int(seed, "seed")
     if not 0 <= seed < _MAX_SEED:
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
     return seed
@@ -185,7 +186,7 @@ class RandomTFModel:
             raise ValidationError("numerator is identically zero: every node gain would vanish")
         if _identically_zero(self.den_specs):
             raise ValidationError("denominator is identically zero: no node gain is defined")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def _draw_tf(model: RandomTFModel, rng: np.random.Generator) -> RationalTF:
@@ -234,10 +235,11 @@ class MonteCarlo:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "draws", check_int(self.draws, "draws"))
         if self.draws < 1:
             raise ValidationError(f"need at least one draw, got {self.draws}")
         if self.seed is not None:
-            _check_seed(self.seed)
+            object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 class ExpectedDynamics:
@@ -461,16 +463,10 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
     return float(sup_den / model.num_specs[0].lo)
 
 
-# Bytes of one (K, n, n) complex stack: a trial on a dense Laplacian (the
-# ring families) solves and norms its grid points in chunks of at most this
-# size (one point where a single n x n system is larger).  A few stacks are
-# alive at once, so a small budget keeps the peak memory near that of one
-# point at a time; past n ~ 100 the LAPACK work outweighs the per-chunk
-# overhead anyway.  Complete-family trials form no stack; their chunks are
-# unions of these, replayed one of these at a time where they fail.
-_STACK_BYTES = 1 << 18
 # Bytes of the Golub-Kahan bases, 16 n (2 _LANCZOS_MAX_STEPS + 1) per
-# point, of one chunk of complete-family grid points (at least one point).
+# point, of one chunk of grid points (at least one point).  A trial
+# evaluates a chunk's nodes in one pass and, on the complete family, norms
+# the chunk as one batch.
 _KRYLOV_BYTES = 1 << 23
 
 
@@ -538,7 +534,7 @@ def _complete_incoherence(
     ``1/g_i + f w n`` minus ``f w 11^T``, so (Sherman & Morrison 1950)
     ``T = diag(d) + beta d d^T`` with ``d_i = 1/(1/g_i + f w n)`` and
     ``beta = f w / (1 - f w sum_i d_i)``.  A node whose gain vanishes is
-    grounded as ``_transfer_stack`` grounds it, ``d_i = 0``.  Since
+    grounded as ``_transfer`` grounds it, ``d_i = 0``.  Since
     ``1 - f w n d_i = d_i/g_i``, the denominator equals
     ``((n - n_kept) + sum_kept d_i/g_i)/n``, which does not cancel under
     strong coupling as ``1 - f w sum_i d_i`` does; where it is zero the
@@ -546,11 +542,12 @@ def _complete_incoherence(
     so its products take O(n), and one batched Golub-Kahan run norms all
     the points; a point left without a certificate takes the SVD of the formed
     matrix.  A point where some ``1/g_i + f w n`` is exactly zero goes
-    through ``_transfer_stack`` on the family's Laplacian.
+    through ``_transfer`` on the family's Laplacian.  ``IndeterminateAt``,
     ``PoleOfCoupling`` and ``SingularSystem`` come for the first failing
-    point, as from ``_transfer_stack``.
+    point, as from ``_transfer`` at one point after another.
     """
     n = pts[0].inv.size
+    indeterminate = np.array([pt.indeterminate for pt in pts])
     pole = np.array([is_at_infinity(pt.f) for pt in pts])
     fw = family.weight * np.array([0j if p else pt.f for pt, p in zip(pts, pole)])
     inv = np.array([pt.inv for pt in pts])
@@ -566,15 +563,17 @@ def _complete_incoherence(
     norms = np.empty(len(pts))
     cond = np.ones(len(pts))
     lap = None
-    for k in np.flatnonzero(pole | zero_pivot | (denom == 0)):
+    for k in np.flatnonzero(indeterminate | pole | zero_pivot | (denom == 0)):
+        if indeterminate[k]:
+            raise IndeterminateAt(pts[k].s)
         if pole[k]:
             raise PoleOfCoupling(pts[k].s)
         if not zero_pivot[k]:
             raise SingularSystem(pts[k].s)
         if lap is None:
             lap = family.build(n).matrix
-        t, cond[k : k + 1] = _transfer_stack([pts[k]], lap)
-        norms[k] = _spectral_norm(t[0], ghat_vals[k])
+        t, cond[k] = _transfer(pts[k], lap)
+        norms[k] = _spectral_norm(t, ghat_vals[k])
 
     reg = np.flatnonzero(~zero_pivot)
     d, inv, kept, fw = d[reg], inv[reg], kept[reg], fw[reg]
@@ -616,46 +615,46 @@ def _trial_measurements(
     """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
 
     ``f_vals`` holds the coupling filter's value at each grid point.  The
-    grid is taken in chunks; each chunk's points are evaluated in one pass,
-    solved, normed and warned about where ill-conditioned before the next
-    chunk's.  On a Laplacian a chunk holds ``_STACK_BYTES`` of transfer
-    matrices, solved as one stack and normed by ``_spectral_norm``.  On a
-    ``CompleteFamily`` it holds whole such chunks, ``_KRYLOV_BYTES`` of
-    Golub-Kahan bases (at least one), normed by ``_complete_incoherence``;
-    a chunk that fails is replayed in the Laplacian's chunks, so errors and
-    warnings come at the same points, in the same order, on either graph.
+    grid is taken in chunks of ``_KRYLOV_BYTES`` of Golub-Kahan bases (at
+    least one point), each chunk's nodes evaluated in one pass.  The points
+    are taken in grid order: every ill-conditioned point warns, and the
+    first point that fails raises, so a trial reports the same events
+    whatever its chunks hold.  On a Laplacian each point is solved by
+    ``_transfer`` and normed by ``_spectral_norm`` in turn.  On a
+    ``CompleteFamily`` a chunk is normed as one batch by
+    ``_complete_incoherence``; a chunk that fails is taken again one point
+    at a time.
     """
     num, den = _draw_tables(model, n, seed, (n, trial))
-    complete = isinstance(graph, CompleteFamily)
-    step = max(1, _STACK_BYTES // (16 * n * n))
-    span = step
-    if complete:
-        span *= max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1) * step))
+    span = max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1)))
     sup_gbar = 0.0
     sup_inc = 0.0
     max_inv = 0.0
     for start in range(0, len(points), span):
         chunk = slice(start, start + span)
-        try:
-            pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
-            if complete:
-                norms, cond = _complete_incoherence(pts, ghat_vals[chunk], graph)
-            else:
-                t, cond = _transfer_stack(pts, graph.matrix)
-                t -= (ghat_vals[chunk] / n)[:, None, None]
-                norms = _spectral_norm(t)
-        except (IndeterminateAt, PoleOfCoupling, SingularSystem):
-            if span > step:  # one Laplacian chunk at a time: the first that fails raises
-                for sub in range(start, min(start + span, len(points)), step):
-                    part = slice(sub, sub + step)
-                    pts = _point_values(num, den, points[part], f_vals[part], DEFAULT_TOL_ZERO)
-                    _warn_ill_conditioned(pts, _complete_incoherence(pts, ghat_vals[part], graph)[1])
-            raise
-        for pt, ghat in zip(pts, ghat_vals[chunk]):
+        pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
+        ghats = ghat_vals[chunk]
+        if isinstance(graph, CompleteFamily):
+            try:
+                norms, cond = _complete_incoherence(pts, ghats, graph)
+            except (IndeterminateAt, PoleOfCoupling, SingularSystem):
+                for k, pt in enumerate(pts):  # the first point that fails raises
+                    cond = _complete_incoherence([pt], ghats[k : k + 1], graph)[1]
+                    _warn_ill_conditioned(pt, cond[0])
+                raise
+            for pt, c in zip(pts, cond):
+                _warn_ill_conditioned(pt, c)
+        else:
+            norms = np.empty(len(pts))
+            for k, (pt, shift) in enumerate(zip(pts, ghats / n)):
+                t, c = _transfer(pt, graph.matrix)
+                _warn_ill_conditioned(pt, c)
+                t -= shift
+                norms[k] = _spectral_norm(t)
+        for pt, ghat in zip(pts, ghats):
             max_inv = max(max_inv, pt.inv_max)
             gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
             sup_gbar = max(sup_gbar, gbar_dev)
-        _warn_ill_conditioned(pts, cond)
         sup_inc = max(sup_inc, float(norms.max()))
     return sup_gbar, sup_inc, max_inv
 
@@ -697,6 +696,7 @@ def concentration_experiment(
         raise ValidationError(f"sizes must be strictly increasing, got {sizes}")
     if sizes[0] < 2:
         raise ValidationError("network sizes must be at least 2")
+    trials = check_int(trials, "trials")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     if not epsilon > 0:
@@ -724,6 +724,8 @@ def concentration_experiment(
     for n in sizes:
         if isinstance(graph_family, CompleteFamily):
             graph, lam2 = graph_family, float(graph_family.weight * n)
+            if not math.isfinite(lam2):  # as complete_graph refuses it
+                raise ValidationError("Laplacian entries must be finite")
         else:
             graph = graph_family.build(n)
             lam2 = algebraic_connectivity(graph)

@@ -54,7 +54,7 @@ from coherelab.coherence import (
     DEFAULT_TOL_CLASSIFY,
     _point_report,
     _probe_records,
-    _transfer_stack,
+    _transfer,
 )
 
 from conftest import (
@@ -610,25 +610,25 @@ class TestSweep:
             sweep(net, grid, tol_classify=-1.0)
         assert caught.value.s == first
 
-    def test_stack_grounds_each_point_as_one_point_solves_do(self):
+    def test_transfer_grounds_whichever_nodes_vanish(self):
         # Node 0 vanishes at -1, node 1 at -2 and node 2 at -3.
-        nodes = [RationalTF([1.0, 1.0], [2.0, 1.0]), RationalTF([2.0, 1.0], [1.0, 1.0]),
+        nodes = [RationalTF([1.0, 1.0], [5.0, 1.0]), RationalTF([2.0, 1.0], [6.0, 1.0]),
                  RationalTF([3.0, 1.0], [0.5, 1.0])]
         net = NetworkModel(laplacian_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]), nodes, ONE)
-        points = [0.5 + 1j, -1.0, -2.0, -3.0, -1.0 + 0.5j, -1.0]
+        points = [0.5 + 1j, -1.0, -2.0, -3.0, -1.0 + 0.5j]
         records = [pt for pt, _ in _probe_records(net, points, 1e-12, DEFAULT_TOL_CLASSIFY)]
-        assert [pt.vanished for pt in records] == [(), (0,), (1,), (2,), (), (0,)]
-        stack, cond = _transfer_stack(records, net.laplacian.matrix)
-        for s, t in zip(points, stack):
-            assert np.array_equal(t, transfer_matrix(net, s))
-        assert np.array_equal(stack[1], stack[5]) and np.all(cond >= 1.0)
+        assert [pt.vanished for pt in records] == [(), (0,), (1,), (2,), ()]
+        for s, pt in zip(points, records):
+            t, cond = _transfer(pt, net.laplacian.matrix)
+            np.testing.assert_allclose(t, transfer_matrix_direct(net, s), rtol=0.0, atol=1e-14)
+            assert not t[list(pt.vanished)].any() and not t[:, list(pt.vanished)].any()
+            assert cond >= 1.0
         # Where every gain vanishes, T is zero and the estimate is 1.
         shared = [RationalTF([1.0, 1.0], [p, 1.0]) for p in (2.0, 3.0, 0.5)]
         net = NetworkModel(net.laplacian, shared, ONE)
-        records = [pt for pt, _ in _probe_records(net, [-1.0, 1j], 1e-12, DEFAULT_TOL_CLASSIFY)]
-        stack, cond = _transfer_stack(records, net.laplacian.matrix)
-        assert not stack[0].any() and cond[0] == 1.0
-        assert np.array_equal(stack[1], transfer_matrix(net, 1j))
+        [(pt, _)] = _probe_records(net, [-1.0], 1e-12, DEFAULT_TOL_CLASSIFY)
+        t, cond = _transfer(pt, net.laplacian.matrix)
+        assert not t.any() and cond == 1.0
 
 
 class TestSupIncoherence:

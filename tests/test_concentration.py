@@ -40,7 +40,6 @@ from coherelab.concentration import (
     expected_dynamics,
     sample_nodes,
     _KRYLOV_BYTES,
-    _STACK_BYTES,
     _complete_incoherence,
     _draw_tables,
     _trial_measurements,
@@ -53,7 +52,7 @@ from coherelab.coherence import (
     _node_tables,
     _point_values,
     _spectral_norm,
-    _transfer_stack,
+    _transfer,
 )
 from coherelab import _streams
 from coherelab.errors import IllConditionedWarning, NumericalError
@@ -157,6 +156,20 @@ class TestSampleNodes:
         with pytest.raises(ValidationError):
             sample_nodes(gain_over_integrator(), 0)
 
+    def test_numpy_integers_serve_as_seed_and_spawn_prefix(self):
+        want = sample_nodes(gain_over_integrator(seed=7), 3, spawn_prefix=(4, 1))
+        model = gain_over_integrator(seed=np.int64(7))
+        assert type(model.seed) is int
+        for got in (sample_nodes(model, 3, spawn_prefix=(np.uint32(4), np.int8(1))),
+                    sample_nodes(model, 3, seed=np.uint64(7), spawn_prefix=(4, np.int64(1)))):
+            for x, y in zip(got, want):
+                assert np.array_equal(x.num.coeffs, y.num.coeffs)
+
+    @pytest.mark.parametrize("seed", [np.True_, np.float64(7.0)])
+    def test_numpy_non_integers_are_refused_as_seeds(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            sample_nodes(gain_over_integrator(), 3, seed=seed)
+
     @pytest.mark.parametrize("prefix", [(-1,), (1.5,), ("a",), (True,), (3, -2)])
     def test_rejects_a_spawn_prefix_of_other_than_non_negative_ints(self, prefix):
         with pytest.raises(ValidationError, match="spawn key"):
@@ -257,7 +270,7 @@ class TestTrialTables:
         drawn, sampled = _tables_outcomes(model, 2, 0, ())
         assert drawn == sampled == (ExcessiveDegree, str(sampled[1]))
 
-    def test_trial_builds_no_transfer_function_and_one_stack_per_chunk(self, monkeypatch):
+    def test_trial_builds_no_transfer_function_and_solves_each_point_once(self, monkeypatch):
         calls = {"RationalTF": 0, "inv": 0, "solve": 0, "svd": 0}
         init = RationalTF.__init__
 
@@ -277,9 +290,7 @@ class TestTrialTables:
         points = FrequencyGrid.linear(0.5, 0.1, 2.0, 12).points
         _trial_measurements(gain_over_integrator(), n, complete_graph(n), points,
                             [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
-        chunks = math.ceil(len(points) / (_STACK_BYTES // (16 * n * n)))
-        assert chunks > 1
-        assert calls == {"RationalTF": 0, "inv": chunks, "solve": 0, "svd": chunks}
+        assert calls == {"RationalTF": 0, "inv": len(points), "solve": 0, "svd": len(points)}
 
     def test_points_with_vanished_gains_share_a_chunk_with_stacked_points(self):
         # Every gain (s - 1)/(s + a) vanishes at s = 1, where T is zero.
@@ -340,14 +351,12 @@ class TestTrialTables:
         assert caught.value.s == (0.5 + 2.0j if pole_first else 0.0)
 
     def test_trial_memory_is_bounded_by_the_chunk_budget(self):
-        # 40 points at n = 150 are 14.4 MB per (K, n, n) stack; a trial
-        # must hold its grid a chunk at a time (a chunk is one point where
-        # a single system exceeds the budget), with a few chunk-sized
-        # arrays alive at once.
+        # 40 points at n = 150 are 14.4 MB of transfer matrices; a trial
+        # must solve and norm one point at a time, with a few n x n arrays
+        # and its chunk's node values alive at once.
         n = 150
         points = FrequencyGrid.linear(0.5, 0.1, 5.0, 40).points
-        chunk = max(_STACK_BYTES, 16 * n * n)
-        assert len(points) * 16 * n * n > 30 * chunk
+        matrix = 16 * n * n
         args = (gain_over_integrator(), n, complete_graph(n), points,
                 [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
         _trial_measurements(*args)  # one-off allocations stay out of the peak
@@ -357,7 +366,7 @@ class TestTrialTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * chunk
+        assert peak < 6 * matrix
 
 
 def _records(model, n, points, f_vals, seed=5, trial=0):
@@ -367,9 +376,38 @@ def _records(model, n, points, f_vals, seed=5, trial=0):
 
 def _dense_norms(pts, ghats, lap):
     """Norms and condition estimates at the records as a dense trial takes them."""
-    t, cond = _transfer_stack(pts, lap.matrix)
-    t -= (ghats / lap.n)[:, None, None]
-    return _spectral_norm(t), cond
+    norms, cond = np.empty(len(pts)), np.empty(len(pts))
+    for k, (pt, shift) in enumerate(zip(pts, ghats / lap.n)):
+        t, cond[k] = _transfer(pt, lap.matrix)
+        norms[k] = _spectral_norm(t - shift)
+    return norms, cond
+
+
+def _grid_order_events(monkeypatch, n):
+    """The point a trial raises ``PoleOfCoupling`` at and the
+    ``IllConditionedWarning``s before it, the same on the complete family
+    and on its Laplacian: node 0's gain is near 1e14 (ill-conditioned
+    wherever f is not tiny) and 0/0 at s = 1; f has a pole at the second
+    point."""
+    gain = 1.5e14
+    tables = (np.array([[-gain, gain]] + [[gain, 0.0]] * (n - 1)),
+              np.array([[-1.0, 1.0]] + [[1.0, 0.0]] * (n - 1)))
+    monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
+    points = np.array([0.5 + 1.0j, 0.5 + 2.0j, 1.0 + 0.0j])
+    f_vals = [1.0 + 0j, AT_INFINITY, 1.0 + 0j]
+
+    def events(graph):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PoleOfCoupling) as raised:
+                _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
+                                    np.ones(3), 3, 0)
+        return raised.value.s, [(str(w.message).split(" has ")[0], w.filename)
+                                for w in caught if w.category is IllConditionedWarning]
+
+    complete = events(CompleteFamily())
+    assert complete == events(complete_graph(n))
+    return complete
 
 
 class TestCompleteStructure:
@@ -475,31 +513,32 @@ class TestCompleteStructure:
 
     def test_points_fail_and_warn_in_the_dense_order_where_chunks_hold_one_point(
             self, monkeypatch):
-        # At n = 130 a dense trial solves one grid point per chunk: the
-        # ill-conditioned first point warns, the pole of f at the second
+        # The ill-conditioned first point warns, the pole of f at the second
         # raises, and the node indeterminate at the third is never reached.
-        # A complete-family chunk holds all three points and is replayed.
-        n = 130
-        assert _STACK_BYTES < 16 * n * n
-        gain = 1.5e14
-        tables = (np.array([[-gain, gain]] + [[gain, 0.0]] * (n - 1)),
-                  np.array([[-1.0, 1.0]] + [[1.0, 0.0]] * (n - 1)))
-        monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
-        points = np.array([0.5 + 1.0j, 0.5 + 2.0j, 1.0 + 0.0j])
-        f_vals = [1.0 + 0j, AT_INFINITY, 1.0 + 0j]
-
-        def events(graph):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(PoleOfCoupling) as raised:
-                    _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
-                                        np.ones(3), 3, 0)
-            return raised.value.s, [(str(w.message).split(" has ")[0], w.filename)
-                                    for w in caught if w.category is IllConditionedWarning]
-
-        assert events(CompleteFamily()) == events(complete_graph(n)) == (
+        # A complete-family chunk holds all three points and is taken again
+        # point by point.
+        assert _grid_order_events(monkeypatch, 130) == (
             0.5 + 2.0j, [("transfer-matrix solve at s = (0.5+1j)", __file__)]
         )
+
+    def test_points_fail_and_warn_in_grid_order_where_one_chunk_holds_the_grid(
+            self, monkeypatch):
+        assert _grid_order_events(monkeypatch, 20) == (
+            0.5 + 2.0j, [("transfer-matrix solve at s = (0.5+1j)", __file__)]
+        )
+
+    def test_one_point_chunks_give_the_same_trial(self, monkeypatch):
+        model = gain_over_integrator(seed=1)
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 8).points
+        ghats = expected_dynamics(model).evaluate_many(points)
+        f_vals = [1.0 + 0j] * len(points)
+        for n, graph in ((20, CompleteFamily()), (20, RingFamily().build(20)),
+                         (130, RingFamily().build(130))):
+            whole = _trial_measurements(model, n, graph, points, f_vals, ghats, 1, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(concentration, "_KRYLOV_BYTES", 1)
+                single = _trial_measurements(model, n, graph, points, f_vals, ghats, 1, 0)
+            assert np.array(single).tobytes() == np.array(whole).tobytes()
 
     def test_chunks_keep_memory_bounded_on_the_default_grid(self):
         # 50 points (the CLI default) at n = 10^4: one chunk of every point
@@ -546,7 +585,7 @@ class TestCompleteStructure:
         def refused(*args, **kwargs):
             raise AssertionError("dense n x n path taken")
 
-        for name in ("complete_graph", "algebraic_connectivity", "_transfer_stack", "_svd_norm"):
+        for name in ("complete_graph", "algebraic_connectivity", "_transfer", "_svd_norm"):
             monkeypatch.setattr(concentration, name, refused)
         n = 10_000
         tracemalloc.start()
@@ -613,6 +652,18 @@ class TestExpectedDynamics:
         scale = 4.0 / math.log(5.0)
         value = mc.evaluate(1.0)
         assert value.real == pytest.approx(scale, rel=5e-3)
+
+    @pytest.mark.parametrize("draws", [2.5, True, np.True_, "3"])
+    def test_monte_carlo_draws_must_be_an_integer(self, draws):
+        with pytest.raises(ValidationError, match="draws must be an integer"):
+            MonteCarlo(draws)
+
+    def test_monte_carlo_takes_numpy_integers(self):
+        mc = MonteCarlo(np.int64(1000), seed=np.uint64(3))
+        assert type(mc.draws) is int and type(mc.seed) is int
+        model = gain_over_integrator()
+        want = expected_dynamics(model, MonteCarlo(1000, seed=3)).evaluate(1.0)
+        assert expected_dynamics(model, mc).evaluate(1.0) == want
 
     def test_monte_carlo_validation(self):
         with pytest.raises(ValidationError):
@@ -705,6 +756,24 @@ class TestConcentrationExperiment:
         for weight in (0.0, -1.0, math.nan):
             with pytest.raises(NonPositiveWeight):
                 CompleteFamily(weight)
+
+    @pytest.mark.parametrize("weight", [math.inf, 1e308])
+    def test_complete_weight_whose_laplacian_overflows_is_refused(self, weight):
+        # As complete_graph refuses the same Laplacian, before any trial.
+        for run in (lambda: self.run_small(graph_family=CompleteFamily(weight), sizes=[5]),
+                    lambda: CompleteFamily(weight).build(5)):
+            with pytest.raises(ValidationError, match="Laplacian entries must be finite"):
+                run()
+
+    @pytest.mark.parametrize("trials", [2.0, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            self.run_small(trials=trials)
+
+    def test_numpy_integers_serve_as_trials_and_seed(self):
+        table = self.run_small(trials=np.int64(2), seed=np.uint64(1))
+        assert table == self.run_small(trials=2, seed=1)
+        assert all(type(row.trials) is int for row in table.rows)
 
     def test_ring_ratio_validation(self):
         with pytest.raises(ValidationError):
