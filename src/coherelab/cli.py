@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One analysis per process: parse the input files, run the requested
-computation, and write the result (CSV or a short text report) once, to
-stdout or ``--out``.  Exit codes: 0 success, 1 validation error (bad
+computation, and write the result (CSV or a short text report) to stdout
+or ``--out``.  The file is opened only once the computation has
+succeeded, so a failing command creates none; ``simulate`` writes its
+rows one at a time.  Exit codes: 0 success, 1 validation error (bad
 flags, malformed files, unsatisfied preconditions), 2 numerical failure.
 Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
@@ -47,7 +49,7 @@ from .timedomain import (
     closed_loop,
     coherent_reference,
     simulate,
-    trajectory_csv_lines,
+    write_trajectory_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -139,8 +141,13 @@ def _convergence_csv(rows: list[ConvergenceRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: args -> (output text, exit code)
+# Command handlers: args -> (writer of the output, exit code)
 # ---------------------------------------------------------------------------
+
+
+def _text(text: str):
+    """Writer of an output already formatted as ``text``."""
+    return lambda stream: stream.write(text)
 
 
 def _cmd_eval(args):
@@ -154,7 +161,7 @@ def _cmd_eval(args):
         tol_classify=args.tol_classify,
         keep_transfer=False,
     )
-    return report_csv_header() + "\n" + report_csv_row(report) + "\n", 0
+    return _text(report_csv_header() + "\n" + report_csv_row(report) + "\n"), 0
 
 
 def _cmd_sweep(args):
@@ -170,7 +177,7 @@ def _cmd_sweep(args):
     )
     lines = [report_csv_header()]
     lines.extend(report_csv_row(report) for report in result.reports)
-    return "\n".join(lines) + "\n", 0
+    return _text("\n".join(lines) + "\n"), 0
 
 
 def _cmd_converge(args):
@@ -182,7 +189,7 @@ def _cmd_converge(args):
         tol_zero=args.tol_zero,
         tol_classify=args.tol_classify,
     )
-    return _convergence_csv(rows), 0
+    return _text(_convergence_csv(rows)), 0
 
 
 def _cmd_simulate(args):
@@ -192,7 +199,7 @@ def _cmd_simulate(args):
     reference = None
     if args.reference:
         reference = coherent_reference(net, signal, args.t_end, trajectory.dt)
-    return "\n".join(trajectory_csv_lines(trajectory, reference)) + "\n", 0
+    return lambda stream: write_trajectory_csv(trajectory, stream, reference), 0
 
 
 def _cmd_concentrate(args):
@@ -207,7 +214,7 @@ def _cmd_concentrate(args):
         args.seed,
         tol_pole=args.tol_pole,
     )
-    return "\n".join(concentration_csv_lines(table)) + "\n", 0
+    return _text("\n".join(concentration_csv_lines(table)) + "\n"), 0
 
 
 def _cmd_aggregate(args):
@@ -219,7 +226,7 @@ def _cmd_aggregate(args):
             raise ValidationError("--compare needs --input and --t-end")
         error = _aggregation_error(net, _parse_input(args.input), args.t_end, args.dt, mean)
         text += f"aggregation_error: {repr(error)}\n"
-    return text, 0
+    return _text(text), 0
 
 
 def _cmd_check(args):
@@ -229,7 +236,7 @@ def _cmd_check(args):
         lines.append(f"uniform-coherence check: {rhp_uniform_check(net)}")
     except ValidationError as exc:
         lines.append(f"uniform-coherence check: undetermined: {exc}")
-    return "\n".join(lines) + "\n", 0 if net.assumptions.ok else 1
+    return _text("\n".join(lines) + "\n"), 0 if net.assumptions.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +387,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output, code = args.handler(args)
+        write, code = args.handler(args)
     except ValidationError as exc:
         print(f"coherelab: error: {exc}", file=sys.stderr)
         return 1
@@ -389,9 +396,9 @@ def main(argv=None) -> int:
         return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+            write(fh)
     else:
-        sys.stdout.write(output)
+        write(sys.stdout)
     return code
 
 

@@ -211,6 +211,7 @@ def sample_nodes(
     The concentration experiment reads the same coefficients from that
     substream without building a ``RationalTF`` per draw.
     """
+    n = check_int(n, "n")
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
     root = model.seed if seed is None else _check_seed(seed)
@@ -689,7 +690,7 @@ def concentration_experiment(
     ``(seed, n, trial)``, so the table is reproducible.  Static unit
     coupling is the default.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [check_int(n, "network size") for n in sizes]
     if not sizes:
         raise ValidationError("need at least one network size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

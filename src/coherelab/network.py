@@ -133,20 +133,30 @@ class GroundedLaplacian:
 
 
 def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> LaplacianMatrix:
-    """Build a Laplacian from weighted undirected edges; duplicates are summed."""
+    """Build a Laplacian from weighted undirected edges; duplicates are summed.
+
+    Endpoints convert as ``int`` does and weights as ``float``.  The first
+    edge, in edge order, that breaks a rule decides the error.  Each cell
+    sums its weights in edge order, so duplicate edges add up as a loop
+    over the edges would add them.
+    """
     if n < 1:
         raise ValidationError("node count must be positive")
-    adjacency = np.zeros((n, n))
-    for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
+    i, j, w = list(zip(*edges)) or ((), (), ())
+    i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+    w = np.array(w, dtype=float)
+    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | ~(w > 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, w = int(i[k]), int(j[k]), float(w[k])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n - 1}")
         if i == j:
             raise SelfLoop(f"self-loop at node {i}")
-        if not (w > 0.0):
-            raise NonPositiveWeight(f"edge ({i}, {j}) has non-positive weight {w}")
-        adjacency[i, j] += w
-        adjacency[j, i] += w
+        raise NonPositiveWeight(f"edge ({i}, {j}) has non-positive weight {w}")
+    # bincount adds in input order: cell (i, j), then (j, i), edge by edge.
+    cells = np.stack([i * n + j, j * n + i], axis=1).ravel()
+    adjacency = np.bincount(cells, np.repeat(w, 2), n * n).reshape(n, n)
     return LaplacianMatrix(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 

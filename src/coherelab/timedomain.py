@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -253,63 +253,92 @@ def closed_loop(net: NetworkModel) -> StateSpace:
 
     Each node contributes its canonical realization; the coupling filter
     is realized once per node channel and fed by the corresponding row
-    of ``L y``.  Any instantaneous feedthrough around the loop is
-    eliminated by solving the loop matrix ``I + D_G d_f L``; when that
-    matrix is singular the interconnection is ill posed.
+    of ``L y``.  With the block-diagonal node matrices ``A_G, B_G, C_G,
+    D_G`` and the coupling's ``A_F = I (x) a_f`` (likewise ``B_F, C_F``)
+    and ``d_f``, the output is ``y = Y_G x_G + Y_F x_F + Y_U u`` with
+    ``Y_G = M C_G``, ``Y_F = -M D_G C_F``, ``Y_U = M D_G`` and
+    ``M = (I + D_G d_f L)^-1``, and
+
+        A = [[A_G - B_G d_f L Y_G, -B_G (C_F + d_f L Y_F)],
+             [B_F L Y_G,           A_F + B_F L Y_F       ]],
+        B = [[B_G (I - d_f L Y_U)], [B_F L Y_U]],  C = [Y_G, Y_F],  D = Y_U.
+
+    ``B_G, C_G, D_G, B_F, C_F`` have one nonzero entry per row or column,
+    so every product with them is a gather with a scaling, which gives
+    the dense product's values exactly.  The loop matrix is formed and
+    inverted only when ``D_G d_f L`` has a nonzero entry; the six
+    products of ``d_f L``, ``B_G d_f L`` or ``B_F L`` with a ``Y`` are then
+    the only dense ones.  Otherwise ``M = I`` and they are gathers too.
+    A singular loop matrix, or one whose condition estimate exceeds
+    ``COND_LIMIT``, makes the interconnection ill posed.
     """
     n = net.n
     lap = net.laplacian.matrix
     node_ss = [realize(g) for g in net.nodes]
     f_ss = realize(net.coupling)
-    ng = sum(ss.n_states for ss in node_ss)
-    nf = n * f_ss.n_states
-
-    a_g = np.zeros((ng, ng))
-    b_g = np.zeros((ng, n))
-    c_g = np.zeros((n, ng))
-    d_g = np.zeros((n, n))
-    offset = 0
-    for i, ss in enumerate(node_ss):
-        k = ss.n_states
-        a_g[offset : offset + k, offset : offset + k] = ss.a
-        b_g[offset : offset + k, i] = ss.b[:, 0]
-        c_g[i, offset : offset + k] = ss.c[0, :]
-        d_g[i, i] = ss.d[0, 0]
-        offset += k
-
-    kf = f_ss.n_states
-    a_f = np.kron(np.eye(n), f_ss.a) if kf else np.zeros((0, 0))
-    b_f = np.kron(np.eye(n), f_ss.b) if kf else np.zeros((0, n))
-    c_f = np.kron(np.eye(n), f_ss.c) if kf else np.zeros((n, 0))
+    nodes = np.arange(n)
+    # State s of the node part belongs to node node_of[s]; coupling state t
+    # to channel chan_of[t].  b_g, c_g, b_f, c_f hold the one entry of the
+    # block matrices in that state's row (B) or column (C).
+    node_of = np.repeat(nodes, [ss.n_states for ss in node_ss])
+    b_g = np.concatenate([ss.b[:, 0] for ss in node_ss])
+    c_g = np.concatenate([ss.c[0] for ss in node_ss])
+    d_g = np.array([ss.d[0, 0] for ss in node_ss])
+    chan_of = np.repeat(nodes, f_ss.n_states)
+    b_f = np.tile(f_ss.b[:, 0], n)
+    c_f = np.tile(f_ss.c[0], n)
     d_f = f_ss.d[0, 0]
-
-    loop = np.eye(n) + d_g @ (d_f * lap)
-    try:
-        loop_inv = np.linalg.inv(loop)
-    except np.linalg.LinAlgError as exc:
-        raise AlgebraicLoop(
-            "instantaneous feedthrough around the coupling loop is singular"
-        ) from exc
-    # Guard near-singular loops too: they produce meaningless dynamics.  The
-    # estimate |loop|_1 |loop^-1|_1 is the one every frequency-domain solve uses.
-    if np.linalg.norm(loop, 1) * np.linalg.norm(loop_inv, 1) > COND_LIMIT:
-        raise AlgebraicLoop(
-            "instantaneous feedthrough around the coupling loop is numerically singular"
-        )
-
-    y_g = loop_inv @ c_g  # y = y_g x_G + y_f x_F + y_u u
-    y_f = -loop_inv @ d_g @ c_f
-    y_u = loop_inv @ d_g
+    ng, nf = node_of.size, chan_of.size
 
     dfl = d_f * lap
+    loop_inv = np.eye(n)
+    feedthrough = d_g[:, None] * dfl  # D_G d_f L
+    inverted = bool(feedthrough.any())
+    if inverted:
+        loop = loop_inv + feedthrough
+        try:
+            loop_inv = np.linalg.inv(loop)
+        except np.linalg.LinAlgError as exc:
+            raise AlgebraicLoop(
+                "instantaneous feedthrough around the coupling loop is singular"
+            ) from exc
+        # Guard near-singular loops too: they produce meaningless dynamics.  The
+        # estimate |loop|_1 |loop^-1|_1 is the one every frequency-domain solve uses.
+        if np.linalg.norm(loop, 1) * np.linalg.norm(loop_inv, 1) > COND_LIMIT:
+            raise AlgebraicLoop(
+                "instantaneous feedthrough around the coupling loop is numerically singular"
+            )
+
+    y_g = loop_inv[:, node_of] * c_g
+    y_u = loop_inv * d_g
+    y_f = -(y_u[:, chan_of] * c_f)
+
+    def times(x, y, cols):
+        """``x @ y`` for ``y = loop_inv @ E``, where column k of E is zero
+        but in row ``cols[k]``: with ``loop_inv = I`` a column gather."""
+        if inverted:
+            return x @ y
+        return x[:, cols] * y[cols, np.arange(cols.size)]
+
+    rows_g = b_g[:, None] * dfl[node_of]  # B_G d_f L
+    rows_f = b_f[:, None] * lap[chan_of]  # B_F L
+    inner_f = times(dfl, y_f, chan_of)  # C_F + d_f L Y_F
+    inner_f[chan_of, np.arange(nf)] += c_f
     a_cl = np.zeros((ng + nf, ng + nf))
-    a_cl[:ng, :ng] = a_g - b_g @ dfl @ y_g
-    a_cl[:ng, ng:] = -b_g @ (c_f + dfl @ y_f)
-    a_cl[ng:, :ng] = b_f @ lap @ y_g
-    a_cl[ng:, ng:] = a_f + b_f @ lap @ y_f
-    b_cl = np.vstack([b_g @ (np.eye(n) - dfl @ y_u), b_f @ lap @ y_u])
-    c_cl = np.hstack([y_g, y_f])
-    return StateSpace(a_cl, b_cl, c_cl, y_u)
+    offset = 0
+    for ss in node_ss:
+        k = ss.n_states
+        a_cl[offset : offset + k, offset : offset + k] = ss.a
+        offset += k
+    a_cl[:ng, :ng] -= times(rows_g, y_g, node_of)
+    a_cl[:ng, ng:] = -b_g[:, None] * inner_f[node_of]
+    a_cl[ng:, :ng] = times(rows_f, y_g, node_of)
+    a_cl[ng:, ng:] = np.kron(np.eye(n), f_ss.a) + times(rows_f, y_f, chan_of)
+    b_cl = np.vstack([
+        b_g[:, None] * (np.eye(n) - times(dfl, y_u, nodes))[node_of],
+        times(rows_f, y_u, nodes),
+    ])
+    return StateSpace(a_cl, b_cl, np.hstack([y_g, y_f]), y_u)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +482,11 @@ def _reference_response(ref: StateSpace, n: int, signal: InputSignal, t_end: flo
 # ---------------------------------------------------------------------------
 
 
-def trajectory_csv_lines(traj: Trajectory, reference: Trajectory | None = None) -> list[str]:
-    """Rows ``t, y_0, ..., y_{n-1}[, y_ref]``."""
+def _csv_rows(traj: Trajectory, reference: Trajectory | None) -> Iterator[str]:
+    """Rows ``t, y_0, ..., y_{n-1}[, y_ref]``, header first, one at a time.
+
+    ``reference`` is checked before the header is yielded.
+    """
     if reference is not None:
         if reference.n_outputs != 1:
             raise ValidationError("the reference trajectory must have a single output")
@@ -465,19 +497,25 @@ def trajectory_csv_lines(traj: Trajectory, reference: Trajectory | None = None) 
     header = "t," + ",".join(f"y_{i}" for i in range(traj.n_outputs))
     if reference is not None:
         header += ",y_ref"
-    lines = [header]
+    yield header
     # Row by row: a nested list of every sample would hold a Python float
     # per value at once.
     for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.outputs.T)):
         cells = [t, *row.tolist()]
         if reference is not None:
             cells.append(float(reference.outputs[0, k]))
-        lines.append(",".join(map(repr, cells)))
-    return lines
+        yield ",".join(map(repr, cells))
+
+
+def trajectory_csv_lines(traj: Trajectory, reference: Trajectory | None = None) -> list[str]:
+    """Rows ``t, y_0, ..., y_{n-1}[, y_ref]``."""
+    return list(_csv_rows(traj, reference))
 
 
 def write_trajectory_csv(
     traj: Trajectory, stream: TextIO, reference: Trajectory | None = None
 ) -> None:
-    for line in trajectory_csv_lines(traj, reference):
+    """Write the rows of ``trajectory_csv_lines`` to ``stream``, each ended
+    by a newline, holding one row's text at a time."""
+    for line in _csv_rows(traj, reference):
         stream.write(line + "\n")

@@ -70,6 +70,15 @@ node 0 num 1.0 / den 1.0 1.0
 coupling num 1.0 / den 1.0
 """
 
+# Feedthrough 1 at both nodes against coupling -1: I + D_G d_f L is singular.
+ALGEBRAIC_LOOP = """\
+nodes 2
+edge 0 1 0.5
+node 0 num 2.0 1.0 / den 1.0 1.0
+node 1 num 2.0 1.0 / den 1.0 1.0
+coupling num -1.0 / den 1.0
+"""
+
 KS_MODEL = "num U(1,5)\nden 0 1\nseed 7\n"
 
 
@@ -262,6 +271,29 @@ class TestSimulate:
         )
         assert code == 1
         assert "exceeds t_end" in err
+
+    @pytest.mark.parametrize("reference", [[], ["--reference"]])
+    def test_out_file_and_stdout_are_byte_identical(self, capsys, netfile, tmp_path, reference):
+        argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "sin:1.3:0.7",
+                "--t-end", "2.0", "--dt", "0.01", *reference]
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / "traj.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+        assert out.count("\n") == 202 and out.endswith("\n")
+
+    @pytest.mark.parametrize("net, spec, message", [
+        (ALGEBRAIC_LOOP, "impulse", "coupling loop is singular"),
+        (SWING_LINE, "step:a:b", "--input"),
+    ])
+    def test_failing_command_creates_no_file(self, capsys, netfile, tmp_path, net, spec, message):
+        path = tmp_path / "traj.csv"
+        code, out, err = run(capsys, "simulate", "--net", netfile(net), "--input", spec,
+                             "--t-end", "1.0", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert message in err
+        assert not path.exists()
 
     def test_bad_input_spec(self, capsys, netfile):
         for spec in ("bogus", "step:1", "sin:1", "step:a:b"):

@@ -156,6 +156,18 @@ class TestSampleNodes:
         with pytest.raises(ValidationError):
             sample_nodes(gain_over_integrator(), 0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.7, True, np.float64(3.0)])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            sample_nodes(gain_over_integrator(), n)
+
+    def test_numpy_integer_n(self):
+        model = gain_over_integrator()
+        got, want = sample_nodes(model, np.int64(3)), sample_nodes(model, 3)
+        assert len(got) == 3
+        for x, y in zip(got, want):
+            assert np.array_equal(x.num.coeffs, y.num.coeffs)
+
     def test_numpy_integers_serve_as_seed_and_spawn_prefix(self):
         want = sample_nodes(gain_over_integrator(seed=7), 3, spawn_prefix=(4, 1))
         model = gain_over_integrator(seed=np.int64(7))
@@ -769,6 +781,16 @@ class TestConcentrationExperiment:
     def test_trials_must_be_an_integer(self, trials):
         with pytest.raises(ValidationError, match="trials must be an integer"):
             self.run_small(trials=trials)
+
+    @pytest.mark.parametrize("sizes", [[4.7, 8.9], [2.5, 4], [True, 4], [4, np.float64(8.0)]])
+    def test_sizes_must_be_integers(self, sizes):
+        with pytest.raises(ValidationError, match="network size must be an integer"):
+            self.run_small(sizes=sizes)
+
+    def test_numpy_integers_serve_as_sizes(self):
+        table = self.run_small(sizes=[np.int64(3), np.int32(8)])
+        assert table == self.run_small(sizes=[3, 8])
+        assert all(type(row.n) is int for row in table.rows)
 
     def test_numpy_integers_serve_as_trials_and_seed(self):
         table = self.run_small(trials=np.int64(2), seed=np.uint64(1))

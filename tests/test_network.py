@@ -53,6 +53,58 @@ def test_edge_validation_errors():
         laplacian_from_edges(2, [(0, 2, 1.0)])
 
 
+@pytest.mark.parametrize("edges, error, message", [
+    # The first offending edge decides, whatever rules later edges break.
+    ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0), (1, 0, -1.0)],
+     SelfLoop, "self-loop at node 2"),
+    ([(0, 1, 1.0), (0, 5, 1.0), (2, 2, 1.0), (1, 0, -1.0)],
+     IndexOutOfRange, r"edge \(0, 5\) outside 0..3"),
+    ([(1, 0, -1.0), (2, 2, 1.0), (0, 5, 1.0)],
+     NonPositiveWeight, r"edge \(1, 0\) has non-positive weight -1.0"),
+    ([(0, 1, 1.0), (2, 3, float("nan")), (3, 3, 1.0)],
+     NonPositiveWeight, r"edge \(2, 3\) has non-positive weight nan"),
+    # Within one edge: the range first, then the self-loop, then the weight.
+    ([(-1, -1, 0.0)], IndexOutOfRange, r"edge \(-1, -1\) outside 0..3"),
+    ([(3, 3, 0.0)], SelfLoop, "self-loop at node 3"),
+])
+def test_first_offending_edge_decides_the_error(edges, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        laplacian_from_edges(4, edges)
+
+
+def _edge_loop_laplacian(n, edges):
+    """The edge-by-edge accumulation that laplacian_from_edges vectorizes."""
+    adjacency = np.zeros((n, n))
+    for i, j, w in edges:
+        adjacency[i, j] += w
+        adjacency[j, i] += w
+    return np.diag(adjacency.sum(axis=1)) - adjacency
+
+
+def test_duplicate_and_reversed_edges_sum_in_edge_order():
+    # 1e16 + 1 + 1 differs from 1e16 + (1 + 1): the order of the sums shows.
+    edges = [(0, 1, 1e16), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 0.3), (1, 2, 0.1),
+             (2, 1, 0.2), (0, 2, 1.0), (2, 0, 1e16), (0, 2, 1.0)]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        i, j = rng.choice(6, size=2, replace=False)
+        edges.append((int(i), int(j), float(rng.choice([1e-3, 1.0, 7.0, 1e12]) * rng.random())))
+    got = laplacian_from_edges(6, edges).matrix
+    assert got.tobytes() == _edge_loop_laplacian(6, edges).tobytes()
+
+
+def test_numpy_endpoints_and_weights_are_accepted():
+    edges = [(np.int64(0), np.int32(1), np.float64(1.5)), (np.uint8(2), 1, 2)]
+    lap = laplacian_from_edges(np.int64(3), edges)
+    assert lap.matrix.tobytes() == _edge_loop_laplacian(3, [(0, 1, 1.5), (2, 1, 2.0)]).tobytes()
+
+
+def test_single_node_without_edges():
+    lap = laplacian_from_edges(1, [])
+    assert lap.matrix.tolist() == [[0.0]]
+    assert lap.connected and lap.eigenvalues.tolist() == [0.0]
+
+
 def test_asymmetric_matrix_rejected():
     with pytest.raises(ValidationError, match="symmetric"):
         LaplacianMatrix([[1.0, -1.0], [-0.5, 0.5]])

@@ -1,6 +1,8 @@
 """Tests for state-space realization and simulation."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from coherelab.timedomain import (
     realize,
     simulate,
     trajectory_csv_lines,
+    write_trajectory_csv,
 )
 
 from conftest import (
@@ -36,6 +39,84 @@ from conftest import (
 ONE = RationalTF([1.0], [1.0])
 INTEGRATOR = RationalTF([1.0], [0.0, 1.0])
 
+
+
+def _dense_closed_loop(net):
+    """``closed_loop`` by dense block products: the reference it must match."""
+    n = net.n
+    lap = net.laplacian.matrix
+    node_ss = [realize(g) for g in net.nodes]
+    f_ss = realize(net.coupling)
+    ng = sum(ss.n_states for ss in node_ss)
+    nf = n * f_ss.n_states
+
+    a_g = np.zeros((ng, ng))
+    b_g = np.zeros((ng, n))
+    c_g = np.zeros((n, ng))
+    d_g = np.zeros((n, n))
+    offset = 0
+    for i, ss in enumerate(node_ss):
+        k = ss.n_states
+        a_g[offset : offset + k, offset : offset + k] = ss.a
+        b_g[offset : offset + k, i] = ss.b[:, 0]
+        c_g[i, offset : offset + k] = ss.c[0, :]
+        d_g[i, i] = ss.d[0, 0]
+        offset += k
+
+    kf = f_ss.n_states
+    a_f = np.kron(np.eye(n), f_ss.a) if kf else np.zeros((0, 0))
+    b_f = np.kron(np.eye(n), f_ss.b) if kf else np.zeros((0, n))
+    c_f = np.kron(np.eye(n), f_ss.c) if kf else np.zeros((n, 0))
+    d_f = f_ss.d[0, 0]
+
+    loop_inv = np.linalg.inv(np.eye(n) + d_g @ (d_f * lap))
+    y_g = loop_inv @ c_g
+    y_f = -loop_inv @ d_g @ c_f
+    y_u = loop_inv @ d_g
+
+    dfl = d_f * lap
+    a_cl = np.zeros((ng + nf, ng + nf))
+    a_cl[:ng, :ng] = a_g - b_g @ dfl @ y_g
+    a_cl[:ng, ng:] = -b_g @ (c_f + dfl @ y_f)
+    a_cl[ng:, :ng] = b_f @ lap @ y_g
+    a_cl[ng:, ng:] = a_f + b_f @ lap @ y_f
+    b_cl = np.vstack([b_g @ (np.eye(n) - dfl @ y_u), b_f @ lap @ y_u])
+    c_cl = np.hstack([y_g, y_f])
+    return StateSpace(a_cl, b_cl, c_cl, y_u)
+
+
+def _node_of_kind(rng, kind):
+    """Strictly proper first order, biproper first order, second order, or static."""
+    if kind == 0:
+        return random_first_order_tf(rng, biproper_fraction=0.0)
+    if kind == 1:
+        return random_first_order_tf(rng, biproper_fraction=1.0)
+    if kind == 2:
+        return random_second_order_tf(rng)
+    return RationalTF([float(rng.uniform(0.5, 2.0))], [1.0])
+
+
+def _oracle_network(kinds, coupling, seed):
+    rng = np.random.default_rng(seed)
+    nodes = [_node_of_kind(rng, kind) for kind in kinds]
+    return NetworkModel(random_connected_laplacian(rng, len(kinds), extra_edges=3), nodes,
+                        coupling)
+
+
+ORACLE_NETWORKS = {
+    # D_G = 0: the loop is I and is not inverted.
+    "strictly_proper_nodes_static_coupling": lambda: _oracle_network(
+        [0, 0, 2, 0, 2], RationalTF([0.8], [1.0]), 1),
+    # D_G d_f != 0: the loop is inverted.
+    "biproper_nodes_static_coupling": lambda: _oracle_network(
+        [1, 1, 2, 1, 3, 0], RationalTF([-1.5], [1.0]), 2),
+    # d_f = 0, D_G != 0: the loop is I, yet Y_U = D_G and Y_F = -D_G C_F.
+    "biproper_nodes_strictly_proper_coupling": lambda: _oracle_network(
+        [1, 2, 1, 3, 0], RationalTF([1.0], [0.5, 1.0]), 3),
+    # Coupling states and feedthrough, around an inverted loop.
+    "coupling_with_states_and_feedthrough": lambda: _oracle_network(
+        [1, 0, 2, 3, 1, 2], RationalTF([0.3, 0.2, 1.0], [2.0, 3.0, 1.0]), 4),
+}
 
 # ---------------------------------------------------------------------------
 # Realization
@@ -167,6 +248,39 @@ class TestClosedLoop:
         net = NetworkModel(complete_graph(2, 0.5), [g, g], RationalTF([-1.0 - 1e-14], [1.0]))
         with pytest.raises(AlgebraicLoop, match="numerically singular"):
             closed_loop(net)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_NETWORKS))
+    def test_matches_the_dense_block_formulas(self, case):
+        net = ORACLE_NETWORKS[case]()
+        got, want = closed_loop(net), _dense_closed_loop(net)
+        for name in "abcd":
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_matches_the_dense_block_formulas_on_random_networks(self):
+        rng = np.random.default_rng(23)
+        couplings = [ONE, RationalTF([-1.5], [1.0]), INTEGRATOR, RationalTF([1.0], [0.5, 1.0]),
+                     RationalTF([2.0, 1.0], [1.0, 1.0]),
+                     RationalTF([0.3, 0.2, 1.0], [2.0, 3.0, 1.0])]
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            nodes = [_node_of_kind(rng, int(k)) for k in rng.integers(0, 4, n)]
+            net = NetworkModel(random_connected_laplacian(rng, n, extra_edges=2), nodes,
+                               couplings[int(rng.integers(0, len(couplings)))])
+            got, want = closed_loop(net), _dense_closed_loop(net)
+            for name in "abcd":
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_integrator_ring_is_built_byte_for_byte(self):
+        # The shape of the simulate benchmark: integrators with random gains
+        # on a ring under static unit coupling.
+        rng = np.random.default_rng(1)
+        n = 80
+        edges = [(i, (i + d) % n, 1.0) for i in range(n) for d in range(1, 7)]
+        nodes = [RationalTF([float(rng.uniform(1.0, 5.0))], [0.0, 1.0]) for _ in range(n)]
+        net = NetworkModel(laplacian_from_edges(n, edges), nodes, ONE)
+        got, want = closed_loop(net), _dense_closed_loop(net)
+        for name in "abcd":
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_well_conditioned_biproper_loop_accepted(self):
         g = RationalTF([2.0, 1.0], [1.0, 1.0])
@@ -353,6 +467,32 @@ class TestTrajectory:
         assert lines[0] == "t,y_0,y_1,y_ref"
         assert lines[1] == "0.0,1.0,3.0,9.0"
         assert lines[2] == "0.5,2.0,4.0,9.5"
+
+    def test_csv_writer_holds_a_few_rows_at_a_time(self):
+        rng = np.random.default_rng(4)
+        traj = Trajectory(np.arange(1001) * 1e-3, rng.standard_normal((200, 1001)), "in")
+        lines = trajectory_csv_lines(traj)
+        want = hashlib.sha256("".join(line + "\n" for line in lines).encode()).digest()
+        row_bytes = len(lines[1])
+
+        class Sink:  # keeps a digest of the text, not the text
+            def __init__(self):
+                self.digest = hashlib.sha256()
+
+            def write(self, text):
+                self.digest.update(text.encode())
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.digest.digest() == want
+        # The whole file is 1001 rows; the writer holds the time column as
+        # floats (about 8 rows' worth) and one row being formatted.
+        assert peak < 32 * row_bytes
 
     def test_csv_reference_grid_must_match(self):
         traj = Trajectory(np.array([0.0, 0.5]), np.ones((1, 2)), "in")
