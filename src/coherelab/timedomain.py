@@ -309,16 +309,22 @@ def closed_loop(net: NetworkModel) -> StateSpace:
                 "instantaneous feedthrough around the coupling loop is numerically singular"
             )
 
+    # Each n x n temporary is freed as soon as it is spent: the peak of a
+    # simulate run sits here or in the matrix exponential.
+    del feedthrough
     y_g = loop_inv[:, node_of] * c_g
     y_u = loop_inv * d_g
     y_f = -(y_u[:, chan_of] * c_f)
+    del loop_inv
 
     def times(x, y, cols):
         """``x @ y`` for ``y = loop_inv @ E``, where column k of E is zero
         but in row ``cols[k]``: with ``loop_inv = I`` a column gather."""
         if inverted:
             return x @ y
-        return x[:, cols] * y[cols, np.arange(cols.size)]
+        gathered = x[:, cols]
+        gathered *= y[cols, np.arange(cols.size)]
+        return gathered
 
     rows_g = b_g[:, None] * dfl[node_of]  # B_G d_f L
     rows_f = b_f[:, None] * lap[chan_of]  # B_F L
@@ -331,6 +337,7 @@ def closed_loop(net: NetworkModel) -> StateSpace:
         a_cl[offset : offset + k, offset : offset + k] = ss.a
         offset += k
     a_cl[:ng, :ng] -= times(rows_g, y_g, node_of)
+    del rows_g
     a_cl[:ng, ng:] = -b_g[:, None] * inner_f[node_of]
     a_cl[ng:, :ng] = times(rows_f, y_g, node_of)
     a_cl[ng:, ng:] = np.kron(np.eye(n), f_ss.a) + times(rows_f, y_f, chan_of)
