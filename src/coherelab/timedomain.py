@@ -309,8 +309,8 @@ def closed_loop(net: NetworkModel) -> StateSpace:
                 "instantaneous feedthrough around the coupling loop is numerically singular"
             )
 
-    # Each n x n temporary is freed as soon as it is spent: the peak of a
-    # simulate run sits here or in the matrix exponential.
+    # n x n temporaries are dropped once spent: a simulate run reaches its
+    # peak memory here or in the matrix exponential.
     del feedthrough
     y_g = loop_inv[:, node_of] * c_g
     y_u = loop_inv * d_g
@@ -318,8 +318,8 @@ def closed_loop(net: NetworkModel) -> StateSpace:
     del loop_inv
 
     def times(x, y, cols):
-        """``x @ y`` for ``y = loop_inv @ E``, where column k of E is zero
-        but in row ``cols[k]``: with ``loop_inv = I`` a column gather."""
+        """``x @ y`` for ``y = M E`` where column k of ``E`` is zero but in
+        row ``cols[k]``: a column gather with a scaling when ``M = I``."""
         if inverted:
             return x @ y
         gathered = x[:, cols]
