@@ -801,13 +801,14 @@ def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> fl
     return _spectral_norm(_transfer(pt, net.laplacian.matrix)[0], pt.gbar)
 
 
-def _effective_connectivity(f_val: ExtComplex, laplacian: LaplacianMatrix) -> float:
-    return math.inf if is_at_infinity(f_val) else abs(f_val) * algebraic_connectivity(laplacian)
+def _effective_connectivity(f_val: ExtComplex, lam2: float) -> float:
+    return math.inf if is_at_infinity(f_val) else abs(f_val) * lam2
 
 
 def effective_connectivity(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
     """|f(s)| times the algebraic connectivity; ``inf`` at poles of f."""
-    return _effective_connectivity(_evaluate(net, s, tol_zero).f, net.laplacian)
+    return _effective_connectivity(_evaluate(net, s, tol_zero).f,
+                                   algebraic_connectivity(net.laplacian))
 
 
 def _near_coupling_pole(net: NetworkModel, s: complex, tol: float) -> bool:
@@ -990,17 +991,19 @@ def _probe_records(net: NetworkModel, points: Sequence[complex], tol_zero: float
     return records
 
 
-def _point_report(net: NetworkModel, pt: _PointValues, pole_f: bool, m1: float | None,
-                  m2: float | None, *, tol_classify: float, keep_transfer: bool) -> CoherenceReport:
-    """The complete report at one probe point, with the bound from the
-    envelope constants ``m1``, ``m2`` (none where either is ``None``).
+def _point_report(net: NetworkModel, lam2: float, pt: _PointValues, pole_f: bool,
+                  m1: float | None, m2: float | None, *, tol_classify: float,
+                  keep_transfer: bool) -> CoherenceReport:
+    """The complete report at one probe point of a network with algebraic
+    connectivity ``lam2``, with the bound from the envelope constants
+    ``m1``, ``m2`` (none where either is ``None``).
 
     A point on a coupling pole is not solved.  Elsewhere both norms are
     taken here, so that a sweep holds no n x n matrix beyond the points
     being evaluated; T itself is kept only on request.
     """
     multiplicity = nodal_multiplicity(net, pt.s, tol=tol_classify)
-    eff = _effective_connectivity(pt.f, net.laplacian)
+    eff = _effective_connectivity(pt.f, lam2)
     if pole_f:
         return CoherenceReport(complex(pt.s), STATUS_POLE_F, None, None, None, eff, None,
                                multiplicity)
@@ -1026,7 +1029,7 @@ def _point_report(net: NetworkModel, pt: _PointValues, pole_f: bool, m1: float |
             inc = _spectral_norm(t, complex(pt.gbar))
             if m1 is not None and m2 is not None:
                 try:
-                    bound = _envelope_bound(pt, algebraic_connectivity(net.laplacian), m1, m2)
+                    bound = _envelope_bound(pt, lam2, m1, m2)
                 except BoundHypothesisViolated:
                     bound = None
     return CoherenceReport(
@@ -1063,8 +1066,8 @@ def evaluate_point(
     [(pt, pole_f)] = _probe_records(net, [s], tol_zero, tol_classify)
     if m1 is None and m2 is None:
         m1, m2 = _envelopes([] if pole_f else [pt], 1.05)
-    return _point_report(net, pt, pole_f, m1, m2, tol_classify=tol_classify,
-                         keep_transfer=keep_transfer)
+    return _point_report(net, algebraic_connectivity(net.laplacian), pt, pole_f, m1, m2,
+                         tol_classify=tol_classify, keep_transfer=keep_transfer)
 
 
 def sweep(
@@ -1090,8 +1093,9 @@ def sweep(
     records = _probe_records(net, [complex(s) for s in grid.points], tol_zero, tol_classify)
     clean = [pt for pt, pole_f in records if not pole_f]
     m1, m2 = _envelopes(clean, margin) if with_bounds else (None, None)
+    lam2 = algebraic_connectivity(net.laplacian)  # once, not in each worker
     reports = map_ordered(
-        lambda rec: _point_report(net, *rec, m1, m2, tol_classify=tol_classify,
+        lambda rec: _point_report(net, lam2, *rec, m1, m2, tol_classify=tol_classify,
                                   keep_transfer=False),
         records,
     )

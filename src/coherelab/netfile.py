@@ -28,10 +28,12 @@ from __future__ import annotations
 import os
 import re
 
+import numpy as np
+
 from .errors import ValidationError
 from .coherence import NetworkModel
 from .concentration import Constant, RandomTFModel, Uniform
-from .network import laplacian_from_edges
+from .network import check_edge, laplacian_from_edges
 from .rational import DEFAULT_TOL_CANCEL, RationalTF, _coeffs_text, tf_from_text
 
 __all__ = [
@@ -110,12 +112,10 @@ def parse_network_text(
             i = _int_field(tokens[1], "edge endpoint", source, lineno)
             j = _int_field(tokens[2], "edge endpoint", source, lineno)
             w = _float_field(tokens[3], "edge weight", source, lineno)
-            if not (0 <= i < n and 0 <= j < n):
-                _fail(source, lineno, f"edge ({i}, {j}) outside node range 0..{n - 1}")
-            if i == j:
-                _fail(source, lineno, f"self-loop at node {i}")
-            if not w > 0.0:
-                _fail(source, lineno, f"edge weight must be positive, got {w}")
+            try:
+                check_edge(n, i, j, w)
+            except ValidationError as exc:
+                _fail(source, lineno, str(exc))
             edges.append((i, j, w))
         elif keyword == "node":
             if len(tokens) < 3:
@@ -175,12 +175,10 @@ def _tf_line(g: RationalTF) -> str:
 
 def network_file_text(net: NetworkModel) -> str:
     lines = [f"nodes {net.n}"]
-    mat = net.laplacian.matrix
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            weight = -mat[i, j]
-            if weight > 0.0:
-                lines.append(f"edge {i} {j} {repr(float(weight))}")
+    weights = np.triu(-net.laplacian.matrix, 1)
+    rows, cols = np.nonzero(weights > 0.0)
+    lines += [f"edge {i} {j} {w!r}"
+              for i, j, w in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist())]
     for i, g in enumerate(net.nodes):
         lines.append(f"node {i} {_tf_line(g)}")
     lines.append(f"coupling {_tf_line(net.coupling)}")

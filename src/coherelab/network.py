@@ -1,16 +1,18 @@
-"""Weighted graph Laplacians with eagerly cached spectral data.
+"""Weighted graph Laplacians whose spectrum is computed on first use.
 
-A :class:`LaplacianMatrix` validates the defining structure (symmetry,
-zero row sums, non-positive off-diagonal entries) and stores the full
-eigendecomposition so downstream frequency-domain work never recomputes
-it.  Eigenvectors follow a deterministic sign convention: the first
-component of each that exceeds the noise floor is made positive.
+A :class:`LaplacianMatrix` checks the defining structure (symmetry, zero
+row sums, non-positive off-diagonal entries), which makes it positive
+semidefinite with the ones vector in its kernel (Gershgorin).  The
+eigendecomposition is computed once, when first read; eigenvectors
+follow a deterministic sign convention: the first component of each that
+exceeds the noise floor is made positive.  Connectivity is read from the
+graph, not from the spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +21,6 @@ from .errors import ValidationError
 SYMMETRY_RTOL = 1e-12
 ROW_SUM_RTOL = 1e-10
 OFF_DIAGONAL_RTOL = 1e-12
-ZERO_EIGENVALUE_RTOL = 1e-9
-CONNECTIVITY_RTOL = 1e-9
 
 
 class SelfLoop(ValidationError):
@@ -43,61 +43,65 @@ class EmptyOrFullIndexSet(ValidationError):
     """Grounding must remove a non-empty strict subset of nodes."""
 
 
+def check_edge(n: int, i: int, j: int, w: float) -> None:
+    """Raise the error of the first rule edge ``(i, j, w)`` breaks, if any."""
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n - 1}")
+    if i == j:
+        raise SelfLoop(f"self-loop at node {i}")
+    if not w > 0.0:
+        raise NonPositiveWeight(f"edge ({i}, {j}) has non-positive weight {w}")
+
+
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
-    vectors = np.array(vectors)
-    for col in range(vectors.shape[1]):
-        column = vectors[:, col]
-        nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
-        if nonzero.size and column[nonzero[0]] < 0:
-            vectors[:, col] = -column
-    return vectors
+    above = np.abs(vectors) > 1e-12
+    first = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
+    return np.where(above.any(axis=0) & (first < 0), -vectors, vectors)
 
 
 class LaplacianMatrix:
-    """Dense symmetric graph Laplacian with cached spectrum."""
+    """Dense symmetric graph Laplacian; its spectrum is computed on first use."""
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "norm")
+    __slots__ = ("matrix", "_spectrum")
 
     def __init__(self, matrix, *, _spectrum=None):
         mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError("Laplacian must be a square matrix")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValidationError("Laplacian must be a non-empty square matrix")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("Laplacian entries must be finite")
-        n = mat.shape[0]
-
-        if _spectrum is not None:
-            eigenvalues, eigenvectors = _spectrum
-            scale = float(np.max(np.abs(eigenvalues))) if n else 0.0
-        else:
-            sym = 0.5 * (mat + mat.T)
-            eigenvalues, eigenvectors = np.linalg.eigh(sym)
-            scale = float(np.max(np.abs(eigenvalues)))
-            asymmetry = float(np.linalg.norm(mat - mat.T))
-            if asymmetry > SYMMETRY_RTOL * max(scale, 1e-300):
-                raise ValidationError(
-                    f"matrix is not symmetric (deviation {asymmetry:.3e})")
-            row_sums = float(np.max(np.abs(mat.sum(axis=1))))
-            if row_sums > ROW_SUM_RTOL * scale:
-                raise ValidationError(
-                    f"row sums must vanish (largest {row_sums:.3e})")
-            off = mat - np.diag(np.diag(mat))
-            worst_off = float(off.max(initial=0.0))
-            if worst_off > OFF_DIAGONAL_RTOL * scale:
-                raise ValidationError(
-                    f"off-diagonal entries must be <= 0 (found {worst_off:.3e})")
-            if abs(float(eigenvalues[0])) > ZERO_EIGENVALUE_RTOL * max(scale, 1e-300):
-                raise ValidationError(
-                    f"smallest eigenvalue {eigenvalues[0]:.3e} is not zero")
-            eigenvectors = _apply_sign_convention(eigenvectors)
-
+        # ||L||_inf is twice the largest degree: between rho(L) and 2 rho(L).
+        scale = float(np.max(np.abs(mat).sum(axis=1)))
+        asymmetry = float(np.linalg.norm(mat - mat.T))
+        if asymmetry > SYMMETRY_RTOL * max(scale, 1e-300):
+            raise ValidationError(
+                f"matrix is not symmetric (deviation {asymmetry:.3e})")
+        row_sums = float(np.max(np.abs(mat.sum(axis=1))))
+        if row_sums > ROW_SUM_RTOL * scale:
+            raise ValidationError(
+                f"row sums must vanish (largest {row_sums:.3e})")
+        worst_off = float((mat - np.diag(np.diag(mat))).max(initial=0.0))
+        if worst_off > OFF_DIAGONAL_RTOL * scale:
+            raise ValidationError(
+                f"off-diagonal entries must be <= 0 (found {worst_off:.3e})")
         self.matrix = mat
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=float)
-        self.norm = scale
         self.matrix.setflags(write=False)
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        self._spectrum = _spectrum  # None (eigh), a function, or the computed pair
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(self._spectrum, tuple):
+            if self._spectrum is None:
+                values, vectors = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
+                vectors = _apply_sign_convention(vectors)
+            else:
+                values, vectors = self._spectrum()
+            values.setflags(write=False)
+            vectors.setflags(write=False)
+            self._spectrum = (values, vectors)
+        return self._spectrum
+
+    eigenvalues = property(lambda self: self._eigh()[0])
+    eigenvectors = property(lambda self: self._eigh()[1])
 
     @property
     def n(self) -> int:
@@ -105,9 +109,13 @@ class LaplacianMatrix:
 
     @property
     def connected(self) -> bool:
-        if self.n == 1:
-            return True
-        return float(self.eigenvalues[1]) > CONNECTIVITY_RTOL * max(self.norm, 1e-300)
+        """Whether the edges (negative off-diagonal entries) join every node."""
+        adjacency = (self.matrix < 0.0) | (self.matrix.T < 0.0)
+        reached = frontier = np.arange(self.n) == 0
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        return bool(reached.all())
 
     def __repr__(self) -> str:
         return f"LaplacianMatrix(n={self.n}, lambda2={algebraic_connectivity(self):.6g})"
@@ -148,12 +156,7 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Lap
     bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | ~(w > 0.0)
     if bad.any():
         k = int(np.argmax(bad))
-        i, j, w = int(i[k]), int(j[k]), float(w[k])
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n - 1}")
-        if i == j:
-            raise SelfLoop(f"self-loop at node {i}")
-        raise NonPositiveWeight(f"edge ({i}, {j}) has non-positive weight {w}")
+        check_edge(n, int(i[k]), int(j[k]), float(w[k]))
     # bincount adds in input order: cell (i, j), then (j, i), edge by edge.
     cells = np.stack([i * n + j, j * n + i], axis=1).ravel()
     adjacency = np.bincount(cells, np.repeat(w, 2), n * n).reshape(n, n)
@@ -174,14 +177,8 @@ def k_regular_ring(n: int, k: int, weight: float = 1.0) -> LaplacianMatrix:
     """Ring of n nodes, each coupled to its k nearest neighbours per side."""
     if not (1 <= k < n / 2):
         raise InvalidK(f"need 1 <= k < n/2, got k={k}, n={n}")
-    if not (weight > 0.0):
-        raise NonPositiveWeight(f"weight {weight} must be positive")
-    adjacency = np.zeros((n, n))
-    for i in range(n):
-        for d in range(1, k + 1):
-            adjacency[i, (i + d) % n] = weight
-            adjacency[i, (i - d) % n] = weight
-    return LaplacianMatrix(np.diag(adjacency.sum(axis=1)) - adjacency)
+    return laplacian_from_edges(
+        n, [(i, (i + d) % n, weight) for i in range(n) for d in range(1, k + 1)])
 
 
 def algebraic_connectivity(lap: LaplacianMatrix) -> float:
@@ -197,7 +194,7 @@ def scale_connectivity(lap: LaplacianMatrix, alpha: float) -> LaplacianMatrix:
         raise ValidationError(f"scale factor must be positive, got {alpha}")
     return LaplacianMatrix(
         alpha * lap.matrix,
-        _spectrum=(alpha * lap.eigenvalues, lap.eigenvectors),
+        _spectrum=lambda: (alpha * lap.eigenvalues, lap.eigenvectors),
     )
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import collections
+import time
 
 import numpy as np
 import pytest
@@ -439,6 +440,40 @@ class TestAggregate:
         )
         assert code == 1
         assert "coupling" in err
+
+
+class TestEigenSolverCalls:
+    """Only the commands that read the Laplacian spectrum compute it, once."""
+
+    @pytest.fixture
+    def eigen_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                time.sleep(0.05)  # long enough for a second worker to ask too
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_a_threaded_sweep_decomposes_once(self, capsys, netfile, monkeypatch, eigen_calls):
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        code, out, _ = run(capsys, "sweep", "--net", netfile(CONSENSUS_K4), "--sigma", "0.5",
+                           "--omega-min", "0.1", "--omega-max", "2.0", "--points", "8")
+        assert code == 0 and len(out.splitlines()) == 9
+        assert eigen_calls == ["eigh"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--input", "step:0:1.0", "--t-end", "5.0"],
+        ["simulate", "--input", "step:0:1.0", "--t-end", "5.0", "--reference"],
+        ["check"],
+        ["aggregate", "--compare", "--input", "step:0:1.0", "--t-end", "20.0"],
+    ])
+    def test_commands_that_read_no_spectrum_compute_none(self, capsys, netfile, argv,
+                                                          eigen_calls):
+        code, out, _ = run(capsys, argv[0], "--net", netfile(SWING_LINE), *argv[1:])
+        assert code == 0 and out
+        assert eigen_calls == []
 
 
 class TestExcessiveDegree:

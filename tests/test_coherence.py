@@ -557,10 +557,11 @@ class TestSweep:
         gains = np.random.default_rng(38).uniform(0.5, 2.0, size=n)
         net = NetworkModel(complete_graph(n), [RationalTF([k], [1.0, 1.0]) for k in gains], ONE)
         records = _probe_records(net, [0.5 + 1.0j, 0.5 + 1.3j], 1e-12, 1e-6)
-        _point_report(net, *records[0], None, None, tol_classify=1e-6, keep_transfer=False)
+        lam2 = float(n)  # the complete graph's
+        _point_report(net, lam2, *records[0], None, None, tol_classify=1e-6, keep_transfer=False)
         tracemalloc.start()
         try:
-            report = _point_report(net, *records[1], None, None, tol_classify=1e-6,
+            report = _point_report(net, lam2, *records[1], None, None, tol_classify=1e-6,
                                    keep_transfer=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,5 +1,7 @@
 """Tests for the network and model file formats."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from coherelab import (
     tf_approx_equal,
     write_network_file,
 )
+from coherelab.network import laplacian_from_edges
 
 GOOD_TEXT = """\
 # a three-node line graph
@@ -103,6 +106,20 @@ class TestParseNetworkErrors:
         self.check_fails(base + "edge 1 1 1.0\n", "test.net:2", "self-loop")
         self.check_fails(base + "edge 0 1 -2.0\n", "test.net:2", "positive")
         self.check_fails(base + "edge 0 1 w\n", "test.net:2", "number")
+
+    @pytest.mark.parametrize("edge", [(0, 9, 1.0), (-1, 1, 1.0), (1, 1, 1.0), (0, 1, -2.0),
+                                      (0, 1, math.nan)])
+    def test_edge_errors_carry_the_laplacian_message(self, edge):
+        with pytest.raises(ValidationError) as expected:
+            laplacian_from_edges(3, [edge])
+        with pytest.raises(ValidationError) as got:
+            parse_network_text("nodes 3\nedge {} {} {}\n".format(*edge), source="test.net")
+        assert str(got.value) == f"test.net:2: {expected.value}"
+
+    def test_first_bad_line_in_file_order_decides(self):
+        bad_edge, bad_node = "edge 0 7 1.0\n", "node 9 num 1 / den 1\n"
+        self.check_fails("nodes 3\n" + bad_edge + bad_node, "test.net:2: edge (0, 7)")
+        self.check_fails("nodes 3\n" + bad_node + bad_edge, "test.net:2: node index 9")
 
     def test_duplicate_and_missing_dynamics(self):
         dup = (

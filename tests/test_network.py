@@ -93,6 +93,12 @@ def test_duplicate_and_reversed_edges_sum_in_edge_order():
     assert got.tobytes() == _edge_loop_laplacian(6, edges).tobytes()
 
 
+@pytest.mark.parametrize("n, k", [(7, 3), (10, 2), (500, 37)])
+def test_ring_is_its_edge_list(n, k):
+    edges = [(i, (i + d) % n, 2.5) for i in range(n) for d in range(1, k + 1)]
+    assert k_regular_ring(n, k, 2.5).matrix.tobytes() == _edge_loop_laplacian(n, edges).tobytes()
+
+
 def test_numpy_endpoints_and_weights_are_accepted():
     edges = [(np.int64(0), np.int32(1), np.float64(1.5)), (np.uint8(2), 1, 2)]
     lap = laplacian_from_edges(np.int64(3), edges)
@@ -103,6 +109,11 @@ def test_single_node_without_edges():
     lap = laplacian_from_edges(1, [])
     assert lap.matrix.tolist() == [[0.0]]
     assert lap.connected and lap.eigenvalues.tolist() == [0.0]
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(ValidationError, match="non-empty square"):
+        LaplacianMatrix(np.zeros((0, 0)))
 
 
 def test_asymmetric_matrix_rejected():
@@ -132,6 +143,38 @@ def test_disconnected_graph_constructs_with_flag():
     assert algebraic_connectivity(lap) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_connectivity_is_read_from_the_graph():
+    # Two unit triangles joined by one edge of weight 1e-12: lambda2 is about
+    # 3e-13 of the largest eigenvalue, yet every node is reached.
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
+    lap = laplacian_from_edges(6, edges + [(2, 3, 1e-12)])
+    assert lap.connected
+    assert algebraic_connectivity(lap) < 1e-12 * lap.eigenvalues[-1]
+    assert not laplacian_from_edges(6, edges).connected
+
+
+def test_spectrum_is_computed_once_when_first_read(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    lap = k_regular_ring(12, 2)
+    scaled = scale_connectivity(lap, 3.0)
+    assert lap.connected and scaled.connected and calls == []
+    assert np.array_equal(scaled.eigenvalues, 3.0 * lap.eigenvalues)
+    assert lap.eigenvectors is scaled.eigenvectors
+    assert calls == [(12, 12)]
+
+
+def test_scaling_checks_the_scaled_matrix():
+    # At 1e-320 the weights are subnormal: w rounds to 607 units of the
+    # smallest subnormal, 2w to 1215, so node 1's row sum is one unit.
+    lap = laplacian_from_edges(3, [(0, 1, 0.3001), (1, 2, 0.3001)])
+    with pytest.raises(ValidationError, match="row sums"):
+        scale_connectivity(lap, 1e-320)
+
+
+# ---------------------------------------------------------------------------
+# spectral properties
 # ---------------------------------------------------------------------------
 # spectral properties
 
