@@ -395,7 +395,12 @@ def main(argv=None) -> int:
         print(f"coherelab: numerical failure: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"coherelab: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
+        with fh:
             write(fh)
     else:
         write(sys.stdout)

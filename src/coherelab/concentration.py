@@ -10,13 +10,15 @@ the sampled coherent dynamics and closed-loop transfer matrix approach
 their limits as the network size and connectivity grow.
 
 All randomness is counter-based: every draw is addressed by an explicit
-substream key, so results are independent of evaluation order.  Trials
-run one after another; ``COHERELAB_THREADS`` does not apply to them.  A
-trial derives all n node substreams in one vectorized pass, bit for bit
-numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``), draws its
-nodes straight into padded coefficient tables (the same numbers
-``sample_nodes`` gives) and evaluates every node at many grid points in
-one pass.  Grid points are taken in chunks sized by a fixed memory
+substream key, so results are independent of evaluation order.  Trials,
+``sample_nodes`` and each Monte-Carlo batch map their unit doubles to
+coefficients by one rule (``_coefficients``).  A trial, like
+``sample_nodes``, derives all n node substreams in one vectorized pass,
+bit for bit numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``).
+Trials run one after another; ``COHERELAB_THREADS`` does not apply to
+them.  A trial keeps its draws as padded coefficient tables, builds no
+``RationalTF``, and evaluates every node at many grid points in one
+pass.  Grid points are taken in chunks sized by a fixed memory
 budget, and a trial reports the first point that fails, in grid order,
 after warning about every ill-conditioned point before it.  On the
 complete family, whose ``lambda2`` is exactly ``w n``, a trial takes O(n)
@@ -35,7 +37,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._streams import check_int, check_spawn_key, substream, unit_table
+from ._streams import check_int, substream, unit_table
 from .errors import ValidationError
 from .coherence import (
     _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
@@ -106,12 +108,6 @@ class Constant:
             raise ValidationError(f"constant coefficient must be finite, got {value}")
         object.__setattr__(self, "value", value)
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -130,12 +126,6 @@ class Uniform:
             raise ValidationError(f"uniform width hi - lo must be finite, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo, self.hi))
-
-    def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=size)
 
 
 CoefficientSpec = Union[Constant, Uniform]
@@ -189,10 +179,35 @@ class RandomTFModel:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
-def _draw_tf(model: RandomTFModel, rng: np.random.Generator) -> RationalTF:
-    num = [spec.draw(rng) for spec in model.num_specs]
-    den = [spec.draw(rng) for spec in model.den_specs]
-    return RationalTF(num, den)
+def _random_slots(model: RandomTFModel) -> int:
+    """The number of ``Uniform`` slots: the doubles one draw takes."""
+    return sum(isinstance(spec, Uniform) for spec in (*model.num_specs, *model.den_specs))
+
+
+def _coefficients(model: RandomTFModel, unit: np.ndarray) -> np.ndarray:
+    """The ``(k, 2, w)`` coefficient table, numerator then denominator,
+    zero-padded to ``w`` slots, of the ``k`` draws whose unit doubles are
+    the rows of ``unit``, ``(k, _random_slots(model))``.
+
+    This is the one rule from doubles to coefficients: a ``Constant`` slot
+    is its value, and the ``j``-th ``Uniform`` slot, numerator slots
+    first, maps column ``j`` as ``Generator.uniform(lo, hi)`` does.
+    """
+    sides = (model.num_specs, model.den_specs)
+    table = np.zeros((len(unit), 2, max(map(len, sides))))
+    drawn = []
+    for side, specs in enumerate(sides):
+        for k, spec in enumerate(specs):
+            if isinstance(spec, Constant):
+                table[:, side, k] = spec.value
+            else:
+                drawn.append((side, k, spec))
+    if drawn:
+        lo = np.array([spec.lo for _, _, spec in drawn])
+        hi = np.array([spec.hi for _, _, spec in drawn])
+        rows, cols = zip(*[(side, k) for side, k, _ in drawn])
+        table[:, rows, cols] = lo + (hi - lo) * unit
+    return table
 
 
 def sample_nodes(
@@ -208,19 +223,15 @@ def sample_nodes(
     result is deterministic given ``(model, n, seed)`` and the first ``m``
     draws agree for every ``n >= m`` (prefix stability).  Each draw takes
     its numerator slots, then its denominator slots, from its substream.
-    The concentration experiment reads the same coefficients from that
-    substream without building a ``RationalTF`` per draw.
+    The substreams are derived in one bulk pass (``unit_table``), as a
+    concentration trial derives them.
     """
     n = check_int(n, "n")
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
     root = model.seed if seed is None else _check_seed(seed)
-    spawn_prefix = check_spawn_key(spawn_prefix)
-    # One generator per draw: building each RationalTF costs more than its
-    # stream.  Trials build none and take their streams from unit_table.
-    return [
-        _draw_tf(model, substream(root, (*spawn_prefix, i))) for i in range(n)
-    ]
+    unit = unit_table(root, spawn_prefix, n, _random_slots(model))
+    return [RationalTF(*row) for row in _coefficients(model, unit)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +329,14 @@ def expected_dynamics(
         root = model.seed if method.seed is None else method.seed
         batches = count()
 
-        def draw_columns(rng: np.random.Generator, specs) -> np.ndarray:
-            return np.stack(
-                [
-                    spec.draw_many(rng, method.draws)
-                    for spec in specs
-                ]
-            )
-
         def evaluate_many(points: np.ndarray) -> np.ndarray:
-            batch = next(batches)
-            # One stream per batch: it draws method.draws values per slot.
-            rng = substream(root, (batch,))
-            num_coeffs = draw_columns(rng, model.num_specs)
-            den_coeffs = draw_columns(rng, model.den_specs)
+            # One stream per batch; Uniform slot j takes row j of its block,
+            # the doubles Generator.uniform(lo, hi, size=draws) would take.
+            rng = substream(root, (next(batches),))
+            table = _coefficients(model, rng.random((_random_slots(model), method.draws)).T)
+            # Each side's own slots, one row per degree, as polyval takes them.
+            num_coeffs = table[:, 0, : len(model.num_specs)].T
+            den_coeffs = table[:, 1, : len(model.den_specs)].T
             out = np.empty(len(points), dtype=complex)
             polyval = np.polynomial.polynomial.polyval
             for p, s in enumerate(points):
@@ -477,33 +482,16 @@ def _draw_tables(
     """Node tables of ``n`` draws, bit for bit those of ``_node_tables`` on
     ``simplify`` of each ``sample_nodes(model, n, seed, spawn_prefix=...)`` draw.
 
-    Node ``i`` takes substream ``spawn_prefix + (i,)``'s draws in slot
-    order (numerator, then denominator); ``unit_table`` derives the ``n``
-    substreams' ``random()`` doubles in one vectorized pass, and each
-    ``Uniform`` slot maps its double as ``Generator.uniform`` does.  Each
-    node is normalized as ``RationalTF`` normalizes it: trimmed, divided by
-    the leading denominator coefficient, trimmed again.  Only a node whose
-    numerator is not a nonzero constant and whose denominator is not
-    constant can change under ``simplify``; only those nodes, and those
-    ``RationalTF`` rejects, are built and simplified one by one.
+    The draws are ``sample_nodes``'s own: ``unit_table`` derives the ``n``
+    substreams ``spawn_prefix + (i,)`` in one vectorized pass and
+    ``_coefficients`` maps their doubles.  Each node is normalized as
+    ``RationalTF`` normalizes it: trimmed, divided by the leading
+    denominator coefficient, trimmed again.  Only a node whose numerator is
+    not a nonzero constant and whose denominator is not constant can change
+    under ``simplify``; only those nodes, and those ``RationalTF`` rejects,
+    are built and simplified one by one.
     """
-    sides = (model.num_specs, model.den_specs)
-    raw = np.zeros((n, 2, max(map(len, sides))))
-    drawn = []
-    for side, specs in enumerate(sides):
-        for k, spec in enumerate(specs):
-            if isinstance(spec, Constant):
-                raw[:, side, k] = spec.value
-            else:
-                drawn.append((side, k, spec))
-    if drawn:
-        # Generator.uniform(lo, hi) computes lo + (hi - lo) * random().
-        unit = unit_table(seed, spawn_prefix, n, len(drawn))
-        lo = np.array([spec.lo for _, _, spec in drawn])
-        hi = np.array([spec.hi for _, _, spec in drawn])
-        rows, cols = zip(*[(side, k) for side, k, _ in drawn])
-        raw[:, rows, cols] = lo + (hi - lo) * unit
-
+    raw = _coefficients(model, unit_table(seed, spawn_prefix, n, _random_slots(model)))
     tables, degree = _trim_rows(raw)
     lead = np.where(degree[:, 1] < 0, 1.0, tables[np.arange(n), 1, degree[:, 1]])
     with np.errstate(over="ignore"):  # RationalTF rejects those rows below

@@ -118,6 +118,9 @@ class LaplacianMatrix:
         return bool(reached.all())
 
     def __repr__(self) -> str:
+        """Shows ``lambda2`` only once the spectrum has been computed."""
+        if not isinstance(self._spectrum, tuple):
+            return f"LaplacianMatrix(n={self.n})"
         return f"LaplacianMatrix(n={self.n}, lambda2={algebraic_connectivity(self):.6g})"
 
 

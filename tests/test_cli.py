@@ -575,6 +575,16 @@ class TestPlumbing:
         code, _, err = run(capsys, "transmogrify")
         assert code == 1
 
+    def test_out_that_cannot_be_opened_is_a_validation_error(self, capsys, netfile, tmp_path):
+        out_path = tmp_path / "missing" / "report.csv"
+        code, out, err = run(
+            capsys, "eval", "--net", netfile(SINGLE_NODE),
+            "--sigma", "1.0", "--omega", "0.0", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"coherelab: error: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_out_writes_file_instead_of_stdout(self, capsys, netfile, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run(

@@ -381,6 +381,88 @@ class TestTrialTables:
         assert peak < 6 * matrix
 
 
+def _model_of(num, den, seed=0):
+    """The model of these slots, a ``Constant(1.0)`` slot appended to a side
+    whose slots are all zero."""
+    sides = [
+        [*specs, Constant(1.0)]
+        if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in specs) else specs
+        for specs in (num, den)
+    ]
+    return RandomTFModel(*map(tuple, sides), seed=seed)
+
+
+def _per_draw(rng, specs, size=None):
+    """Each slot drawn on its own, in slot order: a value per slot, or
+    ``size`` values per slot."""
+    drawn = []
+    for spec in specs:
+        if isinstance(spec, Constant):
+            drawn.append(spec.value if size is None else np.full(size, spec.value))
+        else:
+            value = rng.uniform(spec.lo, spec.hi, size=size)
+            drawn.append(float(value) if size is None else value)
+    return drawn
+
+
+def _node_outcome(build):
+    """Each node's coefficient bytes, or the error that building them raised."""
+    try:
+        return [(g.num.coeffs.tobytes(), g.den.coeffs.tobytes()) for g in build()]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestPerDrawOracles:
+    """Every draw maps its doubles through one table rule; it must give the
+    numbers of the per-draw path it replaced: one generator per node, or
+    per Monte-Carlo batch, and one ``Generator.uniform`` call per slot."""
+
+    @given(
+        num=st.lists(_SLOT, min_size=1, max_size=4),
+        den=st.lists(_SLOT, min_size=1, max_size=4),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        prefix=st.lists(_KEY_ELEMENT, max_size=2).map(tuple),
+    )
+    @example(num=[Constant(0.0), Constant(1.0)], den=[Constant(5e-324)], n=1, seed=0, prefix=())
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_sample_nodes_equals_one_generator_per_node(self, num, den, n, seed, prefix):
+        model = _model_of(num, den)
+
+        def per_node():
+            for i in range(n):
+                rng = _streams.substream(seed, (*prefix, i))
+                num_coeffs = _per_draw(rng, model.num_specs)
+                yield RationalTF(num_coeffs, _per_draw(rng, model.den_specs))
+
+        assert _node_outcome(lambda: sample_nodes(model, n, seed=seed, spawn_prefix=prefix)) \
+            == _node_outcome(lambda: list(per_node()))
+
+    @given(
+        num=st.lists(_SLOT, min_size=1, max_size=3),
+        den=st.lists(_SLOT, min_size=1, max_size=3),
+        draws=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_monte_carlo_batches_equal_per_slot_uniform_draws(self, num, den, draws, seed):
+        model = _model_of(num, den)
+        points = np.array([0.5 + 1.0j, 0.1, 2.0j, -0.3 + 0.2j])
+        polyval = np.polynomial.polynomial.polyval
+        mc = expected_dynamics(model, MonteCarlo(draws, seed=seed))
+        for batch in range(2):
+            rng = _streams.substream(seed, (batch,))
+            num_coeffs = np.stack(_per_draw(rng, model.num_specs, draws))
+            den_coeffs = np.stack(_per_draw(rng, model.den_specs, draws))
+            with np.errstate(all="ignore"):
+                want = [1.0 / np.mean(polyval(s, den_coeffs) / polyval(s, num_coeffs))
+                        for s in points]
+                got = mc.evaluate_many(points)
+            assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
 def _records(model, n, points, f_vals, seed=5, trial=0):
     num, den = _draw_tables(model, n, seed, (n, trial))
     return _point_values(num, den, points, f_vals, DEFAULT_TOL_ZERO)

@@ -165,6 +165,21 @@ def test_spectrum_is_computed_once_when_first_read(monkeypatch):
     assert calls == [(12, 12)]
 
 
+def test_repr_shows_lambda2_only_once_the_spectrum_is_computed(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    lap = k_regular_ring(12, 2)
+    assert repr(lap) == "LaplacianMatrix(n=12)"
+    assert calls == []
+    lam2 = algebraic_connectivity(lap)
+    assert repr(lap) == f"LaplacianMatrix(n=12, lambda2={lam2:.6g})"
+    assert calls == ["eigh"]
+
+
 def test_scaling_checks_the_scaled_matrix():
     # At 1e-320 the weights are subnormal: w rounds to 607 units of the
     # smallest subnormal, 2w to 1215, so node 1's row sum is one unit.
