@@ -5,7 +5,8 @@ computation, and write the result (CSV or a short text report) to stdout
 or ``--out``.  The file is opened only once the computation has
 succeeded, so a failing command creates none; ``simulate`` writes its
 rows one at a time.  Exit codes: 0 success, 1 validation error (bad
-flags, malformed files, unsatisfied preconditions), 2 numerical failure.
+flags, malformed files, unsatisfied preconditions) or a stdout closed
+before the output was written, 2 numerical failure.
 Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
 caps the worker threads of ``sweep`` (one grid point each) and
@@ -16,11 +17,13 @@ uses them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .aggregate import _aggregate_of_mean, _aggregation_error, aggregate_to_text
 from .coherence import (
+    DEFAULT_MARGIN,
     DEFAULT_TOL_CLASSIFY,
     ConvergenceRow,
     FrequencyGrid,
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="coherence reports over a frequency grid")
     _add_common(p)
     _add_grid(p)
-    p.add_argument("--margin", type=float, default=1.05,
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="safety factor for derived envelope constants (default %(default)s)")
     p.add_argument("--no-bounds", action="store_true",
                    help="skip the incoherence bound column")
@@ -403,7 +406,14 @@ def main(argv=None) -> int:
         with fh:
             write(fh)
     else:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (``| head``): send what is still
+            # buffered to devnull, so that the flush at exit cannot fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -32,6 +32,7 @@ from .network import LaplacianMatrix, algebraic_connectivity
 from .rational import (
     AT_INFINITY,
     DEFAULT_TOL_CANCEL,
+    DEFAULT_TOL_ZERO,
     ExtComplex,
     IndeterminateAt,
     Properness,
@@ -101,6 +102,8 @@ DEFAULT_TOL_CLASSIFY = 1e-6
 _HYPOTHESIS_RTOL = 1e-9
 # Relative tolerance for deciding that s0 sits on a pole of gbar.
 DEFAULT_TOL_POLE = 1e-8
+# Factor by which derived envelope constants exceed the measured suprema.
+DEFAULT_MARGIN = 1.05
 
 
 class PoleOfCoupling(ValidationError):
@@ -513,14 +516,14 @@ def _transfer(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, floa
     return t, cond
 
 
-def _warn_ill_conditioned(pt: _PointValues, cond: float, cond_limit: float = COND_LIMIT) -> None:
-    """An ``IllConditionedWarning`` where the condition estimate at the
-    record exceeds ``cond_limit``, attributed to the caller's caller."""
-    if cond > cond_limit:
+def _warn_ill_conditioned(pt: _PointValues, cond: float, stacklevel: int = 3) -> None:
+    """An ``IllConditionedWarning`` where the condition estimate at the record
+    exceeds ``COND_LIMIT``, attributed ``stacklevel`` frames up (the caller's caller)."""
+    if cond > COND_LIMIT:
         warnings.warn(
             f"transfer-matrix solve at s = {pt.s} has condition estimate {float(cond):.3e}",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -707,8 +710,7 @@ def transfer_matrix(
     net: NetworkModel,
     s: complex,
     *,
-    tol_zero: float = 1e-12,
-    cond_limit: float = COND_LIMIT,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> np.ndarray:
     """Closed-loop transfer matrix T(s) of the coupled network.
 
@@ -716,16 +718,16 @@ def transfer_matrix(
     vanishes at ``s`` have identically zero rows and columns; the rest
     of the matrix comes from the correspondingly grounded graph.  Emits
     ``IllConditionedWarning`` when the solve's condition estimate
-    exceeds ``cond_limit``.
+    exceeds ``COND_LIMIT``.
     """
     pt = _evaluate(net, s, tol_zero)
     t, cond = _transfer(pt, net.laplacian.matrix)
-    _warn_ill_conditioned(pt, cond, cond_limit)
+    _warn_ill_conditioned(pt, cond)
     return t
 
 
 def transfer_matrix_direct(
-    net: NetworkModel, s: complex, *, tol_zero: float = 1e-12
+    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
 ) -> np.ndarray:
     """Reference evaluation ``(I + G(s) f(s) L)^{-1} G(s)``.
 
@@ -751,7 +753,7 @@ def transfer_matrix_direct(
 
 
 def transfer_matrix_modal(
-    net: NetworkModel, s: complex, *, tol_zero: float = 1e-12
+    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
 ) -> np.ndarray:
     """Eigenbasis evaluation for identical node dynamics.
 
@@ -775,7 +777,7 @@ def transfer_matrix_modal(
     return (vecs * (1.0 / denoms)) @ vecs.T
 
 
-def gbar_value(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> ExtComplex:
+def gbar_value(net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO) -> ExtComplex:
     """Point value of the coherent dynamics: harmonic mean of node gains.
 
     Returns ``AT_INFINITY`` at poles of the mean and ``0j`` wherever any
@@ -785,7 +787,9 @@ def gbar_value(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> Ext
     return _evaluate(net, s, tol_zero).gbar
 
 
-def coherent_projection(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> np.ndarray:
+def coherent_projection(
+    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
+) -> np.ndarray:
     """Rank-one coherent part ``(1/n) gbar(s) 11^T``."""
     v = gbar_value(net, s, tol_zero=tol_zero)
     if is_at_infinity(v):
@@ -793,7 +797,7 @@ def coherent_projection(net: NetworkModel, s: complex, *, tol_zero: float = 1e-1
     return _coherent_matrix(v, net.n)
 
 
-def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
+def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
     """Spectral-norm distance between T(s) and its coherent part."""
     pt = _evaluate(net, s, tol_zero)
     if is_at_infinity(pt.gbar):
@@ -805,7 +809,9 @@ def _effective_connectivity(f_val: ExtComplex, lam2: float) -> float:
     return math.inf if is_at_infinity(f_val) else abs(f_val) * lam2
 
 
-def effective_connectivity(net: NetworkModel, s: complex, *, tol_zero: float = 1e-12) -> float:
+def effective_connectivity(
+    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
+) -> float:
     """|f(s)| times the algebraic connectivity; ``inf`` at poles of f."""
     return _effective_connectivity(_evaluate(net, s, tol_zero).f,
                                    algebraic_connectivity(net.laplacian))
@@ -861,7 +867,7 @@ def lemma4_bound(
     m1: float,
     m2: float,
     *,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> float | None:
     """A-priori incoherence bound from envelope constants.
 
@@ -889,8 +895,8 @@ def default_bounds(
     net: NetworkModel,
     grid: FrequencyGrid,
     *,
-    margin: float = 1.05,
-    tol_zero: float = 1e-12,
+    margin: float = DEFAULT_MARGIN,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> tuple[float, float]:
     """Envelope constants from a frequency sweep, inflated by ``margin``.
 
@@ -1051,7 +1057,7 @@ def evaluate_point(
     *,
     m1: float | None = None,
     m2: float | None = None,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
     tol_classify: float = DEFAULT_TOL_CLASSIFY,
     keep_transfer: bool = True,
 ) -> CoherenceReport:
@@ -1065,7 +1071,7 @@ def evaluate_point(
     """
     [(pt, pole_f)] = _probe_records(net, [s], tol_zero, tol_classify)
     if m1 is None and m2 is None:
-        m1, m2 = _envelopes([] if pole_f else [pt], 1.05)
+        m1, m2 = _envelopes([] if pole_f else [pt], DEFAULT_MARGIN)
     return _point_report(net, algebraic_connectivity(net.laplacian), pt, pole_f, m1, m2,
                          tol_classify=tol_classify, keep_transfer=keep_transfer)
 
@@ -1075,8 +1081,8 @@ def sweep(
     grid: FrequencyGrid,
     *,
     with_bounds: bool = True,
-    margin: float = 1.05,
-    tol_zero: float = 1e-12,
+    margin: float = DEFAULT_MARGIN,
+    tol_zero: float = DEFAULT_TOL_ZERO,
     tol_classify: float = DEFAULT_TOL_CLASSIFY,
 ) -> SweepResult:
     """Coherence reports over a frequency grid.
@@ -1108,7 +1114,7 @@ def sup_incoherence(
     *,
     refine_check: bool = True,
     refine_rtol: float = 0.05,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> float:
     """Largest incoherence over the grid.
 
@@ -1150,7 +1156,7 @@ def convergence_study(
     s: complex,
     alphas: Sequence[float],
     *,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
     tol_classify: float = DEFAULT_TOL_CLASSIFY,
 ) -> list[ConvergenceRow]:
     """Incoherence versus uniformly scaled coupling strength.
@@ -1171,7 +1177,7 @@ def convergence_study(
         raise PoleOfCoupling(s)
     pt = _evaluate(net, s, tol_zero)
     kind = "norm_T" if is_at_infinity(pt.gbar) else "incoherence"
-    m1, m2 = _envelopes([pt], 1.05)
+    m1, m2 = _envelopes([pt], DEFAULT_MARGIN)
     lam2 = algebraic_connectivity(net.laplacian)
 
     def one(alpha: float) -> ConvergenceRow:
@@ -1262,7 +1268,7 @@ def coherent_pole_direction(
     *,
     lambda_lim: Sequence[float] | None = None,
     tol_pole: float = DEFAULT_TOL_POLE,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> complex:
     """Unit-modulus coefficient gamma of the limiting rank-one shape.
 
@@ -1283,7 +1289,7 @@ def normalized_incoherence(
     *,
     lambda_lim: Sequence[float] | None = None,
     tol_pole: float = DEFAULT_TOL_POLE,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> float:
     """Shape distance between T and the limiting rank-one profile.
 
@@ -1395,7 +1401,7 @@ def failure_experiment(
     radii: int = 16,
     expect_shared: bool = True,
     tol: float = DEFAULT_TOL_CLASSIFY,
-    tol_zero: float = 1e-12,
+    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> list[FailureRow]:
     """Sup of the incoherence on a disk around ``z`` versus coupling scale.
 

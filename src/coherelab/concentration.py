@@ -316,7 +316,11 @@ def expected_dynamics(
     (all-constant models; random gain over a fixed denominator) and raises
     :class:`NoClosedForm` otherwise.  A :class:`MonteCarlo` method averages
     ``1/g(s)`` over fresh draws for each evaluation batch; batches are
-    deterministic given the seed and call order.
+    deterministic given the seed and call order.  Its draws follow the
+    envelope rule at ``DEFAULT_TOL_ZERO``: a point where some draw's gain
+    vanishes gives 0, a draw with a pole there adds 0 to the mean (a zero
+    mean gives ``inf``), and a draw that is 0/0 there raises
+    ``IndeterminateAt``.
     """
     if method == "closed_form":
         tf = _closed_form_tf(model)
@@ -334,14 +338,16 @@ def expected_dynamics(
             # the doubles Generator.uniform(lo, hi, size=draws) would take.
             rng = substream(root, (next(batches),))
             table = _coefficients(model, rng.random((_random_slots(model), method.draws)).T)
-            # Each side's own slots, one row per degree, as polyval takes them.
-            num_coeffs = table[:, 0, : len(model.num_specs)].T
-            den_coeffs = table[:, 1, : len(model.den_specs)].T
+            # The draws' values under the envelope rule: a vanished gain
+            # makes the point 0, a draw with a pole adds 0 to the mean of 1/g.
+            pts = _point_values(table[:, 0], table[:, 1], points, [0j] * len(points),
+                                DEFAULT_TOL_ZERO)
             out = np.empty(len(points), dtype=complex)
-            polyval = np.polynomial.polynomial.polyval
-            for p, s in enumerate(points):
-                inv_vals = polyval(s, den_coeffs) / polyval(s, num_coeffs)
-                out[p] = 1.0 / np.mean(inv_vals)
+            for p, pt in enumerate(pts):
+                if pt.indeterminate:
+                    raise IndeterminateAt(pt.s)
+                mean = np.mean(pt.inv)
+                out[p] = 0j if pt.vanished else 1.0 / mean if mean else complex(math.inf, 0.0)
             return out
 
         return ExpectedDynamics(evaluate_many, tf=None, method="monte_carlo")
@@ -528,12 +534,13 @@ def _complete_incoherence(
     ``((n - n_kept) + sum_kept d_i/g_i)/n``, which does not cancel under
     strong coupling as ``1 - f w sum_i d_i`` does; where it is zero the
     system is singular.  ``T - ghat/n 11^T`` is a diagonal plus rank two,
-    so its products take O(n), and one batched Golub-Kahan run norms all
-    the points; a point left without a certificate takes the SVD of the formed
-    matrix.  A point where some ``1/g_i + f w n`` is exactly zero goes
-    through ``_transfer`` on the family's Laplacian.  ``IndeterminateAt``,
-    ``PoleOfCoupling`` and ``SingularSystem`` come for the first failing
-    point, as from ``_transfer`` at one point after another.
+    so its products take O(n), and one batched Golub-Kahan run norms the
+    regular points; a point left without a certificate takes the SVD of the
+    formed matrix.  Then the records are taken in grid order, as the dense
+    path takes them: a point where some ``1/g_i + f w n`` is exactly zero is
+    solved by ``_transfer`` on the family's Laplacian, each ill-conditioned
+    point warns (attributed to the caller of ``_trial_measurements``), and the
+    first failing point raises, as ``_transfer`` would raise there.
     """
     n = pts[0].inv.size
     indeterminate = np.array([pt.indeterminate for pt in pts])
@@ -549,22 +556,9 @@ def _complete_incoherence(
     np.divide(1.0, diag, out=d, where=kept & (diag != 0))
     denom = (n - kept.sum(axis=1) + (d * inv).sum(axis=1)) / n
 
-    norms = np.empty(len(pts))
-    cond = np.ones(len(pts))
-    lap = None
-    for k in np.flatnonzero(indeterminate | pole | zero_pivot | (denom == 0)):
-        if indeterminate[k]:
-            raise IndeterminateAt(pts[k].s)
-        if pole[k]:
-            raise PoleOfCoupling(pts[k].s)
-        if not zero_pivot[k]:
-            raise SingularSystem(pts[k].s)
-        if lap is None:
-            lap = family.build(n).matrix
-        t, cond[k] = _transfer(pts[k], lap)
-        norms[k] = _spectral_norm(t, ghat_vals[k])
-
-    reg = np.flatnonzero(~zero_pivot)
+    irregular = indeterminate | pole | zero_pivot | (denom == 0)
+    norms, cond = np.empty(len(pts)), np.ones(len(pts))
+    reg = np.flatnonzero(~irregular)
     d, inv, kept, fw = d[reg], inv[reg], kept[reg], fw[reg]
     beta = fw / denom[reg]
     c = ghat_vals[reg] / n
@@ -588,6 +582,21 @@ def _complete_incoherence(
     off_diag = np.abs(beta)[:, None] * (abs_d.sum(axis=1)[:, None] - abs_d)
     t_norm = np.max(abs_d * (np.abs(1 + beta[:, None] * d) + off_diag), axis=1)
     cond[reg] = np.where(m > 0, a_norm * t_norm, 1.0)
+
+    lap = None
+    for k, pt in enumerate(pts):
+        if irregular[k]:
+            if indeterminate[k]:
+                raise IndeterminateAt(pt.s)
+            if pole[k]:
+                raise PoleOfCoupling(pt.s)
+            if not zero_pivot[k]:
+                raise SingularSystem(pt.s)
+            if lap is None:
+                lap = family.build(n).matrix
+            t, cond[k] = _transfer(pt, lap)
+            norms[k] = _spectral_norm(t, ghat_vals[k])
+        _warn_ill_conditioned(pt, cond[k], stacklevel=4)
     return norms, cond
 
 
@@ -611,8 +620,7 @@ def _trial_measurements(
     whatever its chunks hold.  On a Laplacian each point is solved by
     ``_transfer`` and normed by ``_spectral_norm`` in turn.  On a
     ``CompleteFamily`` a chunk is normed as one batch by
-    ``_complete_incoherence``; a chunk that fails is taken again one point
-    at a time.
+    ``_complete_incoherence``, which keeps the same order.
     """
     num, den = _draw_tables(model, n, seed, (n, trial))
     span = max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1)))
@@ -624,15 +632,7 @@ def _trial_measurements(
         pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
         ghats = ghat_vals[chunk]
         if isinstance(graph, CompleteFamily):
-            try:
-                norms, cond = _complete_incoherence(pts, ghats, graph)
-            except (IndeterminateAt, PoleOfCoupling, SingularSystem):
-                for k, pt in enumerate(pts):  # the first point that fails raises
-                    cond = _complete_incoherence([pt], ghats[k : k + 1], graph)[1]
-                    _warn_ill_conditioned(pt, cond[0])
-                raise
-            for pt, c in zip(pts, cond):
-                _warn_ill_conditioned(pt, c)
+            norms = _complete_incoherence(pts, ghats, graph)[0]
         else:
             norms = np.empty(len(pts))
             for k, (pt, shift) in enumerate(zip(pts, ghats / n)):

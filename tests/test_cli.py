@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import collections
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import coherelab
 from coherelab import NetworkModel, NumericalError, RationalTF, complete_graph
 from coherelab import aggregate, cli, coherence, rational, timedomain
 from coherelab.cli import main
@@ -619,6 +623,24 @@ class TestPlumbing:
                            "--sigma", "1.0", "--omega", "0.0")
         assert code == 2
         assert "numerical failure" in err
+
+    def test_closed_stdout_exits_one_without_a_traceback(self, tmp_path):
+        # 50,001 rows are far more than a pipe buffer holds, so the writer
+        # is still writing when the reader goes away.
+        path = tmp_path / "net.txt"
+        path.write_text(SWING_LINE)
+        src = os.path.dirname(os.path.dirname(coherelab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coherelab.cli", "simulate", "--net", str(path),
+             "--input", "step:0:1", "--t-end", "50", "--dt", "0.001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"t,y_0,y_1,y_2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

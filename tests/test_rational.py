@@ -198,6 +198,17 @@ def test_simplify_cancels_nearby_roots_within_tolerance():
     assert float(g.num.coeffs[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_simplify_cancels_a_double_root_split_into_a_conjugate_pair():
+    # The companion matrix of (s - 1.1)^2 returns 1.1 +- 1.6e-8j.
+    den = np.polynomial.polynomial.polyfromroots([1.1, 1.1])
+    assert np.all(np.abs(poly_roots(Polynomial(den)).imag) > 1e-9)
+    raw = RationalTF([-1.1, 1.0], den)
+    g = simplify(raw)
+    assert g.num.coeffs.tolist() == [1.0] and g.den.coeffs.tolist() == [-1.1, 1.0]
+    for s in (0.4 + 0.9j, 2.0, -1.0 + 3.0j):
+        assert tf_eval(g, s) == pytest.approx(tf_eval(raw, s), rel=1e-12)
+
+
 def test_simplify_keeps_distinct_roots():
     g = RationalTF([1.0, 1.0], [2.0, 1.0])
     out = simplify(g)
