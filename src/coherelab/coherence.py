@@ -21,6 +21,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -516,10 +518,17 @@ def _transfer(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, floa
     return t, cond
 
 
-def _warn_ill_conditioned(pt: _PointValues, cond: float, stacklevel: int = 3) -> None:
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn_ill_conditioned(pt: _PointValues, cond: float) -> None:
     """An ``IllConditionedWarning`` where the condition estimate at the record
-    exceeds ``COND_LIMIT``, attributed ``stacklevel`` frames up (the caller's caller)."""
+    exceeds ``COND_LIMIT``, attributed to the first calling frame outside
+    the package, however deep inside it the solve ran."""
     if cond > COND_LIMIT:
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"transfer-matrix solve at s = {pt.s} has condition estimate {float(cond):.3e}",
             IllConditionedWarning,

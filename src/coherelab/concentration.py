@@ -53,10 +53,10 @@ from .network import (
 )
 from .rational import (
     DEFAULT_TOL_ZERO,
-    MAX_DEGREE,
     IndeterminateAt,
     RationalTF,
-    _trim_rows,
+    _normalized_table,
+    _tfs_from_table,
     is_at_infinity,
     poles,
     simplify,
@@ -231,7 +231,7 @@ def sample_nodes(
         raise ValidationError(f"need n >= 1 draws, got {n}")
     root = model.seed if seed is None else _check_seed(seed)
     unit = unit_table(root, spawn_prefix, n, _random_slots(model))
-    return [RationalTF(*row) for row in _coefficients(model, unit)]
+    return _tfs_from_table(_coefficients(model, unit))
 
 
 # ---------------------------------------------------------------------------
@@ -490,24 +490,15 @@ def _draw_tables(
 
     The draws are ``sample_nodes``'s own: ``unit_table`` derives the ``n``
     substreams ``spawn_prefix + (i,)`` in one vectorized pass and
-    ``_coefficients`` maps their doubles.  Each node is normalized as
-    ``RationalTF`` normalizes it: trimmed, divided by the leading
-    denominator coefficient, trimmed again.  Only a node whose numerator is
-    not a nonzero constant and whose denominator is not constant can change
-    under ``simplify``; only those nodes, and those ``RationalTF`` rejects,
-    are built and simplified one by one.
+    ``_coefficients`` maps their doubles.  They are normalized as one table
+    by ``_normalized_table``, the rule ``sample_nodes`` builds its functions
+    by.  Only a node whose numerator is not a nonzero constant and whose
+    denominator is not constant can change under ``simplify``; only those
+    nodes, and those ``RationalTF`` rejects, are built and simplified one
+    by one.
     """
     raw = _coefficients(model, unit_table(seed, spawn_prefix, n, _random_slots(model)))
-    tables, degree = _trim_rows(raw)
-    lead = np.where(degree[:, 1] < 0, 1.0, tables[np.arange(n), 1, degree[:, 1]])
-    with np.errstate(over="ignore"):  # RationalTF rejects those rows below
-        scaled = tables / lead[:, None, None]
-    rejected = (
-        (degree[:, 1] < 0)
-        | (degree.max(axis=1) > MAX_DEGREE)
-        | ~np.isfinite(scaled).all(axis=(1, 2))
-    )
-    tables, degree = _trim_rows(scaled)
+    tables, degree, rejected = _normalized_table(raw)
     for i in np.flatnonzero(rejected | ((degree[:, 0] != 0) & (degree[:, 1] >= 1))):
         g = simplify(RationalTF(*raw[i]))
         tables[i] = 0.0
@@ -539,8 +530,8 @@ def _complete_incoherence(
     formed matrix.  Then the records are taken in grid order, as the dense
     path takes them: a point where some ``1/g_i + f w n`` is exactly zero is
     solved by ``_transfer`` on the family's Laplacian, each ill-conditioned
-    point warns (attributed to the caller of ``_trial_measurements``), and the
-    first failing point raises, as ``_transfer`` would raise there.
+    point warns, and the first failing point raises, as ``_transfer`` would
+    raise there.
     """
     n = pts[0].inv.size
     indeterminate = np.array([pt.indeterminate for pt in pts])
@@ -596,7 +587,7 @@ def _complete_incoherence(
                 lap = family.build(n).matrix
             t, cond[k] = _transfer(pt, lap)
             norms[k] = _spectral_norm(t, ghat_vals[k])
-        _warn_ill_conditioned(pt, cond[k], stacklevel=4)
+        _warn_ill_conditioned(pt, cond[k])
     return norms, cond
 
 

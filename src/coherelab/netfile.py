@@ -21,20 +21,33 @@ describe a random transfer function, one distribution per coefficient::
 
 where a bare number is a fixed coefficient and ``U(lo,hi)`` draws
 uniformly.  All parse errors carry ``source:line``.
+
+A network file is read in bulk.  Its ``edge`` lines are converted a block
+of lines at a time (one join and split, then ``int`` and ``float`` over
+the fields, as a line-by-line read converts them) into arrays that build
+the Laplacian directly, and its node coefficients form one zero-padded
+table, normalized as one (``rational._tfs_from_table``).  When any check
+of the bulk read fails, the file is scanned again line by line; that scan
+raises at the first bad line in file order, with its ``source:line``.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import re
+from itertools import compress
 
 import numpy as np
 
 from .errors import ValidationError
 from .coherence import NetworkModel
 from .concentration import Constant, RandomTFModel, Uniform
-from .network import check_edge, laplacian_from_edges
-from .rational import DEFAULT_TOL_CANCEL, RationalTF, _coeffs_text, tf_from_text
+from .network import _laplacian_from_arrays, check_edge, laplacian_from_edges
+from .rational import (
+    DEFAULT_TOL_CANCEL, MAX_DEGREE, RationalTF, _coeffs_text, _tf_fields, _tfs_from_table,
+    tf_from_text,
+)
 
 __all__ = [
     "parse_network_text",
@@ -78,12 +91,84 @@ def _float_field(token: str, what: str, source: str, lineno: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parse_network_text(
-    text: str,
-    *,
-    source: str = "<network>",
-    tol_cancel: float = DEFAULT_TOL_CANCEL,
-) -> NetworkModel:
+# Edge lines joined and split at once; the block bounds the token lists
+# alive at a time, and so the peak memory of a read.
+_EDGE_BLOCK = 2048
+
+
+class _Rescan(ValidationError):
+    """A check of the bulk read failed; the line scan names the bad line."""
+
+
+def _bulk_read(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list, RationalTF]:
+    """``(n, i, j, w, nodes, coupling)`` of a network file.  Where
+    ``_scan`` would raise, this raises ``ValueError``, ``OverflowError`` or
+    ``ValidationError``, without a line number.
+
+    The edge lines are the lines whose first token starts with ``edge``.
+    A block of them splits into four tokens per line, each line's first
+    exactly ``edge``, only if every line of the block does: a line's first
+    token, shifted into a numeric field, fails ``int`` or ``float``.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    is_edge = [ln.startswith("edge") or ln.lstrip().startswith("edge") for ln in lines]
+    first_edge = is_edge.index(True) if True in is_edge else len(lines)
+    n = coupling = None
+    rows = {}  # node index -> (numerator, denominator) coefficients
+    for k in compress(range(len(lines)), map(operator.not_, is_edge)):
+        tokens = lines[k].split()
+        if not tokens:
+            continue
+        keyword = tokens[0]
+        if n is None:
+            if keyword != "nodes" or len(tokens) != 2 or first_edge < k:
+                raise _Rescan
+            n = int(tokens[1])
+            if n < 1:
+                raise _Rescan
+        elif keyword == "node" and len(tokens) >= 3:
+            idx = int(tokens[1])
+            if not 0 <= idx < n or idx in rows:
+                raise _Rescan
+            rows[idx] = _tf_fields(lines[k].split(None, 2)[2])
+        elif keyword == "coupling" and len(tokens) >= 2 and coupling is None:
+            coupling = tf_from_text(lines[k].split(None, 1)[1])
+        else:
+            raise _Rescan
+    if n is None or len(rows) != n or coupling is None:
+        raise _Rescan
+
+    edge_lines = list(compress(lines, is_edge))
+    del lines, is_edge
+    ends, weights = [], []
+    for start in range(0, len(edge_lines), _EDGE_BLOCK):
+        block = edge_lines[start:start + _EDGE_BLOCK]
+        m = len(block)
+        tokens = " ".join(block).split()
+        if len(tokens) != 4 * m or tokens[::4].count("edge") != m:
+            raise _Rescan
+        ends.append(np.fromiter(map(int, tokens[1::4] + tokens[2::4]), np.int64, 2 * m)
+                    .reshape(2, m))
+        weights.append(np.fromiter(map(float, tokens[3::4]), float, m))
+    del edge_lines
+    i, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *ends], axis=1)
+    w = np.concatenate([np.zeros(0), *weights])
+
+    width = max(len(coeffs) for pair in rows.values() for coeffs in pair)
+    if width > MAX_DEGREE + 1:  # left to the scan, so that the table stays small
+        raise _Rescan
+    table = np.zeros((n, 2, width))
+    for idx, (num, den) in rows.items():
+        table[idx, 0, : len(num)] = num
+        table[idx, 1, : len(den)] = den
+    return n, i, j, w, _tfs_from_table(table), coupling
+
+
+def _scan(text: str, source: str) -> tuple[int, list, dict[int, RationalTF], RationalTF]:
+    """``(n, edges, node dynamics by index, coupling)`` of a network file,
+    read line by line; raises at the first bad line, in file order."""
     n: int | None = None
     edges: list[tuple[int, int, float]] = []
     node_dynamics: dict[int, RationalTF] = {}
@@ -150,8 +235,31 @@ def parse_network_text(
         raise ValidationError(f"{source}: missing dynamics for node(s) {missing}")
     if coupling is None:
         raise ValidationError(f"{source}: missing coupling line")
-    lap = laplacian_from_edges(n, edges)
-    nodes = [node_dynamics[i] for i in range(n)]
+    return n, edges, node_dynamics, coupling
+
+
+def parse_network_text(
+    text: str,
+    *,
+    source: str = "<network>",
+    tol_cancel: float = DEFAULT_TOL_CANCEL,
+) -> NetworkModel:
+    """The network a network file describes (see the module docstring).
+
+    A file the bulk read rejects is read by ``_scan``, which raises at its
+    first bad line.  A file the scan accepts is built from the scan's
+    fields: one whose Laplacian fails as a whole (an infinite weight), or
+    one with a node line of more than ``MAX_DEGREE + 1`` coefficients.
+    """
+    try:
+        # An overflow rejects a coefficient; the scan warns when it reads it.
+        with np.errstate(over="ignore"):
+            n, i, j, w, nodes, coupling = _bulk_read(text)
+        lap = _laplacian_from_arrays(n, i, j, w)
+    except (ValueError, OverflowError, ValidationError):
+        n, edges, node_dynamics, coupling = _scan(text, source)
+        lap = laplacian_from_edges(n, edges)
+        nodes = [node_dynamics[i] for i in range(n)]
     return NetworkModel(lap, nodes, coupling, tol_cancel=tol_cancel)
 
 

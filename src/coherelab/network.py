@@ -143,19 +143,16 @@ class GroundedLaplacian:
         return float(self.eigenvalues[0])
 
 
-def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> LaplacianMatrix:
-    """Build a Laplacian from weighted undirected edges; duplicates are summed.
+def _laplacian_from_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> LaplacianMatrix:
+    """Laplacian of the edges ``(i[k], j[k], w[k])``: ``int64`` endpoints
+    and ``float`` weights, in edge order.
 
-    Endpoints convert as ``int`` does and weights as ``float``.  The first
-    edge, in edge order, that breaks a rule decides the error.  Each cell
-    sums its weights in edge order, so duplicate edges add up as a loop
-    over the edges would add them.
+    The first edge, in edge order, that breaks a rule decides the error.
+    Each cell sums its weights in edge order, so duplicate edges add up as
+    a loop over the edges would add them.
     """
     if n < 1:
         raise ValidationError("node count must be positive")
-    i, j, w = list(zip(*edges)) or ((), (), ())
-    i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
-    w = np.array(w, dtype=float)
     bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | ~(w > 0.0)
     if bad.any():
         k = int(np.argmax(bad))
@@ -164,6 +161,17 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Lap
     cells = np.stack([i * n + j, j * n + i], axis=1).ravel()
     adjacency = np.bincount(cells, np.repeat(w, 2), n * n).reshape(n, n)
     return LaplacianMatrix(np.diag(adjacency.sum(axis=1)) - adjacency)
+
+
+def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> LaplacianMatrix:
+    """Build a Laplacian from weighted undirected edges; duplicates are summed.
+
+    Endpoints convert as ``int`` does and weights as ``float``; the rules
+    and the summation order are those of ``_laplacian_from_arrays``.
+    """
+    i, j, w = list(zip(*edges)) or ((), (), ())
+    return _laplacian_from_arrays(n, np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
+                                  np.array(w, dtype=float))
 
 
 def complete_graph(n: int, weight: float = 1.0) -> LaplacianMatrix:
@@ -180,8 +188,9 @@ def k_regular_ring(n: int, k: int, weight: float = 1.0) -> LaplacianMatrix:
     """Ring of n nodes, each coupled to its k nearest neighbours per side."""
     if not (1 <= k < n / 2):
         raise InvalidK(f"need 1 <= k < n/2, got k={k}, n={n}")
-    return laplacian_from_edges(
-        n, [(i, (i + d) % n, weight) for i in range(n) for d in range(1, k + 1)])
+    i = np.repeat(np.arange(n, dtype=np.int64), k)
+    j = (i + np.tile(np.arange(1, k + 1, dtype=np.int64), n)) % n
+    return _laplacian_from_arrays(n, i, j, np.full(i.size, weight, dtype=float))
 
 
 def algebraic_connectivity(lap: LaplacianMatrix) -> float:

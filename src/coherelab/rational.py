@@ -111,6 +111,14 @@ class Polynomial:
         arr.setflags(write=False)
         self.coeffs = arr
 
+    @classmethod
+    def _trimmed(cls, coeffs: np.ndarray) -> "Polynomial":
+        """The polynomial of read-only ``coeffs`` that ``__init__`` would
+        store unchanged: finite, trimmed, within ``MAX_DEGREE``."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     @property
     def degree(self) -> int:
         return -1 if self.is_zero else self.coeffs.size - 1
@@ -127,12 +135,63 @@ def _trim_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors along the last axis, each trimmed as
     ``Polynomial`` trims one at the default tolerance, and their degrees
     (-1 for a zero vector).  Trimmed slots hold +0.0; no degree limit is
-    enforced."""
+    enforced.
+
+    The last axis is short (a few coefficients), so the scale and the
+    degree are taken column by column: a numpy reduction over a short
+    last axis costs far more than the elementwise ops, with equal results.
+    """
     mag = np.abs(rows)
-    significant = mag > DEFAULT_TOL_ZERO * mag.max(axis=-1, keepdims=True)
-    degree = rows.shape[-1] - 1 - np.argmax(significant[..., ::-1], axis=-1)
-    degree[~significant.any(axis=-1)] = -1
-    return np.where(np.arange(rows.shape[-1]) <= degree[..., None], rows, 0.0), degree
+    width = rows.shape[-1]
+    scale = mag[..., 0]
+    for col in range(1, width):
+        scale = np.maximum(scale, mag[..., col])
+    limit = DEFAULT_TOL_ZERO * scale
+    degree = np.full(rows.shape[:-1], -1, dtype=np.intp)
+    for col in range(width):
+        degree[mag[..., col] > limit] = col
+    return np.where(np.arange(width) <= degree[..., None], rows, 0.0), degree
+
+
+def _normalized_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``(num, den)`` of a ``(k, 2, w)`` coefficient table
+    normalized as ``RationalTF`` normalizes one pair: trimmed, divided by
+    the leading denominator coefficient, trimmed again.
+
+    Returns the normalized table, its ``(k, 2)`` degrees and the mask of
+    the rows ``RationalTF`` rejects: a coefficient that is not finite,
+    before or after the division, a zero denominator, or a degree above
+    ``MAX_DEGREE``.  Rejected rows hold no meaningful coefficients.
+    """
+    trimmed, degree = _trim_rows(table)
+    lead = np.where(degree[:, 1] < 0, 1.0, trimmed[np.arange(len(table)), 1, degree[:, 1]])
+    with np.errstate(over="ignore"):  # such rows are rejected below
+        scaled = trimmed / lead[:, None, None]
+    flat = len(table), -1
+    rejected = (
+        ~np.isfinite(table.reshape(flat)).all(axis=1)
+        | ~np.isfinite(scaled.reshape(flat)).all(axis=1)
+        | (degree[:, 1] < 0)
+        | (np.maximum(degree[:, 0], degree[:, 1]) > MAX_DEGREE)
+    )
+    normalized, degree = _trim_rows(scaled)
+    return normalized, degree, rejected
+
+
+def _tfs_from_table(table: np.ndarray) -> list[RationalTF]:
+    """``[RationalTF(num, den) for num, den in table]`` for a ``(k, 2, w)``
+    coefficient table, bit for bit, normalized as one table.
+
+    Only the rows ``RationalTF`` rejects are built one by one, in row
+    order, so the first of them raises its error.
+    """
+    normalized, degree, rejected = _normalized_table(table)
+    normalized.setflags(write=False)
+    return [
+        RationalTF(*table[k]) if rejected[k]
+        else RationalTF._normalized(normalized[k, 0, : max(dn, 0) + 1], normalized[k, 1, : dd + 1])
+        for k, (dn, dd) in enumerate(degree.tolist())
+    ]
 
 
 def poly_eval(p: Polynomial, s: complex) -> complex:
@@ -176,6 +235,14 @@ class RationalTF:
         lead = den.coeffs[-1]
         self.num = Polynomial(num.coeffs / lead, tol_zero)
         self.den = Polynomial(den.coeffs / lead, tol_zero)
+
+    @classmethod
+    def _normalized(cls, num: np.ndarray, den: np.ndarray) -> "RationalTF":
+        """The function of read-only coefficients that ``__init__`` would
+        store unchanged (see ``_normalized_table``)."""
+        g = object.__new__(cls)
+        g.num, g.den = Polynomial._trimmed(num), Polynomial._trimmed(den)
+        return g
 
     @property
     def is_zero(self) -> bool:
@@ -301,6 +368,8 @@ def simplify(g: RationalTF, tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalT
     """
     if g.num.is_zero:
         return RationalTF(np.zeros(1), np.ones(1))
+    if g.num.degree == 0:  # no numerator root to cancel
+        return g
     den_roots = poly_roots(g.den)
     if den_roots.size == 0:
         return g
@@ -463,12 +532,9 @@ def tf_to_text(g: RationalTF) -> str:
     return f"num: {_coeffs_text(g.num)} / den: {_coeffs_text(g.den)}"
 
 
-def tf_from_text(text: str) -> RationalTF:
-    """Parse the textual form produced by :func:`tf_to_text`.
-
-    The ``num``/``den`` keywords are accepted with or without a trailing
-    colon so network-file node lines share the same grammar.
-    """
+def _tf_fields(text: str) -> tuple[list[float], list[float]]:
+    """The numerator and denominator coefficients written in ``text``, in
+    the grammar of :func:`tf_from_text`; the values are not checked."""
     parts = text.split("/")
     if len(parts) != 2:
         raise ValidationError(f"expected 'num: ... / den: ...', got {text!r}")
@@ -485,4 +551,13 @@ def tf_from_text(text: str) -> RationalTF:
         raise ValidationError(f"bad coefficient in {text!r}: {exc}") from exc
     if not num or not den:
         raise ValidationError(f"empty coefficient list in {text!r}")
-    return RationalTF(num, den)
+    return num, den
+
+
+def tf_from_text(text: str) -> RationalTF:
+    """Parse the textual form produced by :func:`tf_to_text`.
+
+    The ``num``/``den`` keywords are accepted with or without a trailing
+    colon so network-file node lines share the same grammar.
+    """
+    return RationalTF(*_tf_fields(text))

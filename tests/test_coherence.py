@@ -171,8 +171,9 @@ class TestTransferMatrix:
 
     def test_ill_conditioned_warning_near_network_pole(self):
         net = consensus_pair()  # closed-loop poles at 0 and -2
-        with pytest.warns(IllConditionedWarning):
+        with pytest.warns(IllConditionedWarning) as caught:
             transfer_matrix(net, -2.0 + 1e-14)
+        assert [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,16 @@ class TestCompleteStructure:
             (f"transfer-matrix solve at s = {s}", __file__) for s in points[1:]
         ]
 
+    @pytest.mark.parametrize("family", [CompleteFamily(), RingFamily(0.3)])
+    def test_experiment_warnings_point_at_the_caller(self, family):
+        model = RandomTFModel((Uniform(1e14, 2e14),), (Constant(1.0),), seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            concentration_experiment(model, family, [6], FrequencyGrid.linear(0.5, 0.5, 2.0, 3),
+                                     1, 0.1)
+        files = [w.filename for w in caught if w.category is IllConditionedWarning]
+        assert files == [__file__] * 3
+
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("pole_first", [True, False])
     def test_failures_surface_at_the_same_point_as_on_the_dense_path(self, n, pole_first):

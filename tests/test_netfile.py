@@ -1,9 +1,11 @@
 """Tests for the network and model file formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coherelab import (
     Constant,
@@ -20,7 +22,8 @@ from coherelab import (
     tf_approx_equal,
     write_network_file,
 )
-from coherelab.network import laplacian_from_edges
+from coherelab import netfile, rational
+from coherelab.network import k_regular_ring, laplacian_from_edges
 
 GOOD_TEXT = """\
 # a three-node line graph
@@ -228,3 +231,206 @@ class TestModelFiles:
         text = model_file_text(model)
         assert parse_model_text(text) == model
         assert text == "num U(1.0,5.0)\nden 0.0 1.0\nseed 3\n"
+
+
+# ---------------------------------------------------------------------------
+# The bulk read against the line-by-line scan
+# ---------------------------------------------------------------------------
+
+
+def _per_line(text):
+    """The network of a file read line by line (``netfile._scan``)."""
+    n, edges, dynamics, coupling = netfile._scan(text, "test.net")
+    return NetworkModel(laplacian_from_edges(n, edges), [dynamics[i] for i in range(n)], coupling)
+
+
+def _outcome(read, text):
+    """The Laplacian and coefficient bytes of a read, or its error."""
+    try:
+        net = read(text)
+    except (ValidationError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    tfs = [*net.nodes, net.coupling]
+    return net.laplacian.matrix.tobytes(), [(g.num.coeffs.tobytes(), g.den.coeffs.tobytes())
+                                            for g in tfs]
+
+
+def _int_token(value, style):
+    """``value`` spelled as ``int`` reads it: plain, signed or with a digit separator."""
+    return (str(value), f"+{value}", f"0_{value}" if value >= 0 else str(value))[style]
+
+
+def _float_token(value, style):
+    signed = repr(value) if math.copysign(1.0, value) < 0 else f"+{value!r}"
+    return (repr(value), f"{value:e}", signed)[style]
+
+
+_COEFF = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, 3.0, 1e-14, 1e-30, 7.25e12])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def network_texts(draw):
+    """Valid network files: comments, blank lines, tabs, CRLF, duplicate
+    and reversed edges, node lines in any order, and ``+3``, ``0_3`` and
+    ``1e0``-style tokens."""
+    n = draw(st.integers(1, 6))
+    sep = draw(_SEP)
+    style = st.integers(0, 2)
+    body = []
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        weight = st.sampled_from([1.0, 0.5, 2.5, 1e16, 1e-3, 7.0])
+        for (i, j), w in draw(st.lists(st.tuples(pairs, weight), max_size=12)):
+            fields = ["edge", _int_token(i, draw(style)), _int_token(j, draw(style)),
+                      _float_token(w, draw(style))]
+            body.append(sep.join(fields))
+    for idx in draw(st.permutations(range(n))):
+        num = draw(st.lists(_COEFF, min_size=1, max_size=3).filter(any))
+        den = draw(st.lists(_COEFF, min_size=1, max_size=3).filter(any))
+        colon = draw(st.sampled_from(["", ":"]))
+        body.append(sep.join([
+            "node", _int_token(idx, draw(style)), "num" + colon,
+            *(_float_token(c, draw(style)) for c in num), "/", "den" + colon,
+            *(_float_token(c, draw(style)) for c in den),
+        ]))
+    body.insert(draw(st.integers(0, len(body))), "coupling num 1.0 / den 1.0 1.0")
+    body = draw(st.permutations(body))
+    lines = [f"nodes{sep}{_int_token(n, draw(style))}", *body]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# a comment", "   ", "\t# edge 0 1 1.0"])))
+    lines = [line + draw(st.sampled_from(["", "  ", " # trailing note", "\t#x"]))
+             if line.strip() else line for line in lines]
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + line for line in lines]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+_MUTANTS = ["x", "-1", "0", "1", "99", "2.5", "nan", "inf", "-inf", "1e400", "1e-320", "",
+            "edge", "node", "nodes", "coupling", "edges", "num", "den", "/", "#", "1 2",
+            "10000000000000000000000"]
+
+
+class TestBulkRead:
+    """A valid file is read in bulk, to the bytes of the line-by-line scan;
+    a file with a bad token fails with the scan's message."""
+
+    @given(text=network_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_texts_read_in_bulk_as_line_by_line(self, text):
+        netfile._bulk_read(text)  # the bulk checks accept every valid file
+        assert _outcome(parse_network_text, text) == _outcome(_per_line, text)
+
+    @given(text=network_texts(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_a_mutated_file_fails_with_the_line_scan_error(self, text, data):
+        # One token replaced, or one line deleted, repeated or moved.
+        how = data.draw(st.sampled_from(["token", "delete", "repeat", "move"]))
+        if how == "token":
+            parts = re.split(r"([ \t\r\n]+)", text)
+            k = data.draw(st.sampled_from(range(0, len(parts), 2)))
+            parts[k] = data.draw(st.sampled_from(_MUTANTS))
+            mutant = "".join(parts)
+        else:
+            lines = text.splitlines()
+            line = lines.pop(data.draw(st.integers(0, len(lines) - 1)))
+            if how != "delete":
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            if how == "repeat":
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            mutant = "\n".join(lines)
+        want = _outcome(_per_line, mutant)
+        assert _outcome(lambda t: parse_network_text(t, source="test.net"), mutant) == want
+
+    @pytest.mark.parametrize("token", ["10000000000000000000000", "-10000000000000000000000"])
+    def test_an_endpoint_beyond_int64_is_out_of_range(self, token):
+        text = GOOD_TEXT.replace("edge 1 2", f"edge 1 {token}")
+        with pytest.raises(ValidationError, match=rf"^test\.net:4: edge \(1, {token}\) outside 0\.\.2$"):
+            parse_network_text(text, source="test.net")
+
+    TAIL = "node 0 num 1 / den 1\nnode 1 num 1 / den 1\ncoupling num 1 / den 1\n"
+
+    @pytest.mark.parametrize("edges, message", [
+        # A directive that only starts with "edge".
+        ("edges 0 1 1.0\n", "test.net:2: unknown directive 'edges'"),
+        # Five tokens, then three: four per line on average.
+        ("edge 0 1 1.0 1.0\nedge 0 1\n", "test.net:2: expected 'edge <i> <j> <weight>'"),
+        ("edge 0 1 1.0 edge\nedge 0 1\n", "test.net:2: expected 'edge <i> <j> <weight>'"),
+        # Indented, commented and tab-separated edge lines are edge lines.
+        ("  edge\t0 1 1.0 # note\n\tedge 1 1 1.0\n", "test.net:3: self-loop at node 1"),
+    ])
+    def test_edge_lines_the_bulk_read_rejects_fail_as_the_scan_says(self, edges, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_network_text("nodes 2\n" + edges + self.TAIL, source="test.net")
+
+    def test_an_edge_line_before_the_header_fails_as_the_scan_says(self):
+        with pytest.raises(ValidationError, match="^test.net:2: the 'nodes <n>' header must come"):
+            parse_network_text("# c\n edge 0 1 1.0\nnodes 2\n" + self.TAIL, source="test.net")
+
+    def test_a_node_line_longer_than_the_degree_limit_reads_line_by_line(self):
+        # The trailing zeros trim away, but a bulk table would hold them all.
+        zeros = " 0.0" * (2 * rational.MAX_DEGREE)
+        text = GOOD_TEXT.replace("node 2 num 2.0", "node 2 num 2.0" + zeros)
+        assert _outcome(parse_network_text, text) == _outcome(_per_line, text)
+        assert _outcome(parse_network_text, text) == _outcome(parse_network_text, GOOD_TEXT)
+
+    def test_edge_rule_errors_from_the_bulk_path_carry_the_line(self):
+        text = "nodes 3\n" + "edge 0 1 1.0\n" * 3000 + "edge 2 2 1.0\n" + GOOD_TEXT.split("\n", 2)[2]
+        with pytest.raises(ValidationError, match=r"^test\.net:3002: self-loop at node 2$"):
+            parse_network_text(text, source="test.net")
+
+
+def _bench_shaped(n, per_side, weight, nodes, coupling):
+    return NetworkModel(k_regular_ring(n, per_side, weight), nodes, coupling)
+
+
+def _simulate_shaped(n):
+    gains = np.random.default_rng(1).uniform(1.0, 5.0, size=n)
+    return _bench_shaped(n, 37 if n > 74 else 1, 1.0,
+                         [RationalTF([k], [0.0, 1.0]) for k in gains], RationalTF([1.0], [1.0]))
+
+
+def _sweep_shaped(n):
+    rng = np.random.default_rng(2)
+    nodes = []
+    for i in range(n):
+        k = rng.uniform(0.5, 2.0)
+        if i % 2 == 0:
+            z, p = rng.uniform(0.2, 2.0, size=2)
+            nodes.append(RationalTF([k * z, k], [p, 1.0]))
+        else:
+            a0, b0 = rng.uniform(0.5, 2.0, size=2)
+            a1, b1 = rng.uniform(0.8, 2.0, size=2)
+            nodes.append(RationalTF([k * a0, k * a1, k], [b0, b1, 1.0]))
+    return _bench_shaped(n, 22, 20.0, nodes, RationalTF([1.0], [0.0, 1.0]))
+
+
+class TestBenchShapedFiles:
+    @pytest.mark.parametrize("build, n", [(_simulate_shaped, 500), (_sweep_shaped, 300)])
+    def test_written_network_reads_back_to_the_same_bytes(self, build, n):
+        net = build(n)
+        back = parse_network_text(network_file_text(net))
+        assert back.laplacian.matrix.tobytes() == net.laplacian.matrix.tobytes()
+        for g, h in zip([*back.nodes, back.coupling], [*net.nodes, net.coupling]):
+            assert g.num.coeffs.tobytes() == h.num.coeffs.tobytes()
+            assert g.den.coeffs.tobytes() == h.den.coeffs.tobytes()
+
+    def test_polynomials_built_do_not_grow_with_the_node_count(self, monkeypatch):
+        # Counts the validating constructor: the node functions come from
+        # one normalized table, the coupling line alone is parsed as text.
+        calls = []
+        init = rational.Polynomial.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            init(self, *args, **kwargs)
+
+        texts = [network_file_text(_simulate_shaped(n)) for n in (10, 500)]
+        monkeypatch.setattr(rational.Polynomial, "__init__", counted)
+        counts = []
+        for text in texts:
+            calls.clear()
+            parse_network_text(text)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 8

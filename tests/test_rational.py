@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from coherelab.rational import (
     AT_INFINITY,
     DEFAULT_TOL_CANCEL,
+    DEFAULT_TOL_ZERO,
     MAX_DEGREE,
     DegenerateMean,
     ExcessiveDegree,
@@ -29,6 +30,8 @@ from coherelab.rational import (
     tf_scale,
     tf_to_text,
     zeros,
+    _tfs_from_table,
+    _trim_rows,
 )
 from coherelab.errors import ValidationError
 
@@ -324,3 +327,64 @@ def test_text_parse_rejects_garbage():
         tf_from_text("num 1.0 2.0")
     with pytest.raises(ValidationError):
         tf_from_text("num 1.0 / den x")
+
+
+# ---------------------------------------------------------------------------
+# coefficient tables
+
+
+def test_simplify_returns_a_constant_numerator_function_without_finding_roots(monkeypatch):
+    g = RationalTF([3.0], [2.0, 0.5, 1.0])
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                        lambda *args: pytest.fail("no root to cancel"))
+    assert simplify(g) is g
+
+
+def _reduced_trim_rows(rows):
+    """``_trim_rows`` by reductions over the last axis, the reference for
+    its column-by-column form."""
+    mag = np.abs(rows)
+    significant = mag > DEFAULT_TOL_ZERO * mag.max(axis=-1, keepdims=True)
+    degree = rows.shape[-1] - 1 - np.argmax(significant[..., ::-1], axis=-1)
+    degree[~significant.any(axis=-1)] = -1
+    return np.where(np.arange(rows.shape[-1]) <= degree[..., None], rows, 0.0), degree
+
+
+_TABLE_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13, 5e-324, 1e308, -1e308, 1e-300,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def coefficient_tables(draw):
+    k, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    values = draw(st.lists(_TABLE_VALUE, min_size=2 * k * width, max_size=2 * k * width))
+    return np.array(values).reshape(k, 2, width)
+
+
+@given(coefficient_tables())
+@settings(max_examples=150, deadline=None)
+def test_trim_rows_column_by_column_equals_the_reductions(table):
+    got, want = _trim_rows(table), _reduced_trim_rows(table)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+
+
+def _tf_outcome(build):
+    try:
+        return [(g.num.coeffs.tobytes(), g.den.coeffs.tobytes()) for g in build()]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@given(coefficient_tables())
+@settings(max_examples=150, deadline=None)
+@example(np.array([[[1.0, 0.0]] + [[0.0, 0.0]], [[1.0, 2.0], [3.0, 0.5]]]))
+@example(np.zeros((1, 2, MAX_DEGREE + 2)) + 1.0)
+def test_a_table_builds_the_functions_of_its_rows(table):
+    with np.errstate(over="ignore"):  # a rejected row's division overflows in both
+        got = _tf_outcome(lambda: _tfs_from_table(table))
+        want = _tf_outcome(lambda: [RationalTF(num, den) for num, den in table])
+    assert got == want
