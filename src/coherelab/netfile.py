@@ -20,15 +20,17 @@ describe a random transfer function, one distribution per coefficient::
     seed 7
 
 where a bare number is a fixed coefficient and ``U(lo,hi)`` draws
-uniformly.  All parse errors carry ``source:line``.
+uniformly.  A parse error names ``source:line`` of the bad line, or only
+``source`` when a required line is missing.
 
-A network file is read in bulk.  Its ``edge`` lines are converted a block
-of lines at a time (one join and split, then ``int`` and ``float`` over
-the fields, as a line-by-line read converts them) into arrays that build
-the Laplacian directly, and its node coefficients form one zero-padded
-table, normalized as one (``rational._tfs_from_table``).  When any check
-of the bulk read fails, the file is scanned again line by line; that scan
-raises at the first bad line in file order, with its ``source:line``.
+A network file is read once, in file order.  Each run of ``edge`` lines
+is converted a block of lines at a time (one join and split, then ``int``
+and ``float`` over the fields) into arrays that build the Laplacian
+directly; every other line is checked on its own.  The node coefficients
+form one zero-padded table, normalized as one when the file has been read
+(``rational._tfs_from_table``).  A block that fails a check is read line
+by line, and before any line error is raised the node lines above it are
+checked, so the first bad line in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -36,17 +38,17 @@ from __future__ import annotations
 import operator
 import os
 import re
-from itertools import compress
+from itertools import compress, filterfalse, islice
 
 import numpy as np
 
 from .errors import ValidationError
 from .coherence import NetworkModel
 from .concentration import Constant, RandomTFModel, Uniform
-from .network import _laplacian_from_arrays, check_edge, laplacian_from_edges
+from .network import _edge_faults, _laplacian_from_arrays, check_edge
 from .rational import (
-    DEFAULT_TOL_CANCEL, MAX_DEGREE, RationalTF, _coeffs_text, _tf_fields, _tfs_from_table,
-    tf_from_text,
+    DEFAULT_TOL_CANCEL, MAX_DEGREE, RationalTF, _coeffs_text, _normalized_table, _tf_fields,
+    _tfs_from_table, tf_from_text,
 )
 
 __all__ = [
@@ -94,148 +96,135 @@ def _float_field(token: str, what: str, source: str, lineno: int) -> float:
 # Edge lines joined and split at once; the block bounds the token lists
 # alive at a time, and so the peak memory of a read.
 _EDGE_BLOCK = 2048
+_MISSING_SHOWN = 10  # missing node indices listed; more are counted
 
 
-class _Rescan(ValidationError):
-    """A check of the bulk read failed; the line scan names the bad line."""
+class _NetworkReader:
+    """What the lines of a network file read so far declare."""
 
+    def __init__(self, source: str):
+        self.source, self.n, self.coupling = source, None, None
+        self.rows = {}  # node index -> (line number, num, den), in file order
+        self.ends, self.weights = [], []  # per block: (2, m) int64 endpoints, m weights
 
-def _bulk_read(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list, RationalTF]:
-    """``(n, i, j, w, nodes, coupling)`` of a network file.  Where
-    ``_scan`` would raise, this raises ``ValueError``, ``OverflowError`` or
-    ``ValidationError``, without a line number.
+    def edges(self, lines: list[str], start: int, stop: int) -> None:
+        """Read the edge lines ``lines[start:stop]`` a block at a time.  A block
+        splits into four tokens a line, each line's first exactly ``edge``,
+        only if every line does (a first token shifted into a numeric field
+        fails ``int`` or ``float``); one that fails a check is read line by
+        line, which raises at its first bad line."""
+        for first in range(start, stop, _EDGE_BLOCK):
+            block = lines[first:min(first + _EDGE_BLOCK, stop)]
+            m = len(block)
+            tokens = " ".join(block).split()
+            try:
+                if self.n is None or len(tokens) != 4 * m or tokens[::4].count("edge") != m:
+                    raise ValueError
+                ij = np.fromiter(map(int, tokens[1::4] + tokens[2::4]), np.int64, 2 * m).reshape(2, m)
+                w = np.fromiter(map(float, tokens[3::4]), float, m)
+                if not _edge_faults(self.n, ij[0], ij[1], w).any():
+                    self.ends.append(ij)
+                    self.weights.append(w)
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            for lineno, line in enumerate(block, first + 1):
+                self.line(lineno, line)
+            # Every line is good only when an endpoint overflows int64 under a
+            # node count as large; such a file lacks node lines and fails.
 
-    The edge lines are the lines whose first token starts with ``edge``.
-    A block of them splits into four tokens per line, each line's first
-    exactly ``edge``, only if every line of the block does: a line's first
-    token, shifted into a numeric field, fails ``int`` or ``float``.
-    """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [ln.split("#", 1)[0] for ln in lines]
-    is_edge = [ln.startswith("edge") or ln.lstrip().startswith("edge") for ln in lines]
-    first_edge = is_edge.index(True) if True in is_edge else len(lines)
-    n = coupling = None
-    rows = {}  # node index -> (numerator, denominator) coefficients
-    for k in compress(range(len(lines)), map(operator.not_, is_edge)):
-        tokens = lines[k].split()
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        if n is None:
-            if keyword != "nodes" or len(tokens) != 2 or first_edge < k:
-                raise _Rescan
-            n = int(tokens[1])
-            if n < 1:
-                raise _Rescan
-        elif keyword == "node" and len(tokens) >= 3:
-            idx = int(tokens[1])
-            if not 0 <= idx < n or idx in rows:
-                raise _Rescan
-            rows[idx] = _tf_fields(lines[k].split(None, 2)[2])
-        elif keyword == "coupling" and len(tokens) >= 2 and coupling is None:
-            coupling = tf_from_text(lines[k].split(None, 1)[1])
-        else:
-            raise _Rescan
-    if n is None or len(rows) != n or coupling is None:
-        raise _Rescan
-
-    edge_lines = list(compress(lines, is_edge))
-    del lines, is_edge
-    ends, weights = [], []
-    for start in range(0, len(edge_lines), _EDGE_BLOCK):
-        block = edge_lines[start:start + _EDGE_BLOCK]
-        m = len(block)
-        tokens = " ".join(block).split()
-        if len(tokens) != 4 * m or tokens[::4].count("edge") != m:
-            raise _Rescan
-        ends.append(np.fromiter(map(int, tokens[1::4] + tokens[2::4]), np.int64, 2 * m)
-                    .reshape(2, m))
-        weights.append(np.fromiter(map(float, tokens[3::4]), float, m))
-    del edge_lines
-    i, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *ends], axis=1)
-    w = np.concatenate([np.zeros(0), *weights])
-
-    width = max(len(coeffs) for pair in rows.values() for coeffs in pair)
-    if width > MAX_DEGREE + 1:  # left to the scan, so that the table stays small
-        raise _Rescan
-    table = np.zeros((n, 2, width))
-    for idx, (num, den) in rows.items():
-        table[idx, 0, : len(num)] = num
-        table[idx, 1, : len(den)] = den
-    return n, i, j, w, _tfs_from_table(table), coupling
-
-
-def _scan(text: str, source: str) -> tuple[int, list, dict[int, RationalTF], RationalTF]:
-    """``(n, edges, node dynamics by index, coupling)`` of a network file,
-    read line by line; raises at the first bad line, in file order."""
-    n: int | None = None
-    edges: list[tuple[int, int, float]] = []
-    node_dynamics: dict[int, RationalTF] = {}
-    coupling: RationalTF | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
+    def line(self, lineno: int, line: str) -> None:
+        """Check one line and record what it declares."""
+        source = self.source
         tokens = line.split()
+        if not tokens:
+            return
         keyword = tokens[0]
         if keyword == "nodes":
-            if n is not None:
+            if self.n is not None:
                 _fail(source, lineno, "duplicate 'nodes' header")
             if len(tokens) != 2:
                 _fail(source, lineno, "expected 'nodes <count>'")
-            n = _int_field(tokens[1], "node count", source, lineno)
-            if n < 1:
-                _fail(source, lineno, f"node count must be positive, got {n}")
-            continue
-        if n is None:
+            self.n = _int_field(tokens[1], "node count", source, lineno)
+            if self.n < 1:
+                _fail(source, lineno, f"node count must be positive, got {self.n}")
+        elif self.n is None:
             _fail(source, lineno, "the 'nodes <n>' header must come before other lines")
-        if keyword == "edge":
+        elif keyword == "edge":
             if len(tokens) != 4:
                 _fail(source, lineno, "expected 'edge <i> <j> <weight>'")
             i = _int_field(tokens[1], "edge endpoint", source, lineno)
             j = _int_field(tokens[2], "edge endpoint", source, lineno)
             w = _float_field(tokens[3], "edge weight", source, lineno)
             try:
-                check_edge(n, i, j, w)
+                check_edge(self.n, i, j, w)
             except ValidationError as exc:
                 _fail(source, lineno, str(exc))
-            edges.append((i, j, w))
         elif keyword == "node":
             if len(tokens) < 3:
                 _fail(source, lineno, "expected 'node <i> num ... / den ...'")
             idx = _int_field(tokens[1], "node index", source, lineno)
-            if not 0 <= idx < n:
-                _fail(source, lineno, f"node index {idx} outside 0..{n - 1}")
-            if idx in node_dynamics:
+            if not 0 <= idx < self.n:
+                _fail(source, lineno, f"node index {idx} outside 0..{self.n - 1}")
+            if idx in self.rows:
                 _fail(source, lineno, f"duplicate dynamics for node {idx}")
-            rest = line.split(None, 2)[2]
             try:
-                node_dynamics[idx] = tf_from_text(rest)
+                num, den = _tf_fields(line.strip().split(None, 2)[2])
+                if max(len(num), len(den)) > MAX_DEGREE + 1:
+                    # Normalized alone, not to widen the table; the table keeps it.
+                    g = RationalTF(num, den)
+                    num, den = g.num.coeffs, g.den.coeffs
             except ValidationError as exc:
                 _fail(source, lineno, str(exc))
+            self.rows[idx] = (lineno, num, den)
         elif keyword == "coupling":
-            if coupling is not None:
+            if self.coupling is not None:
                 _fail(source, lineno, "duplicate coupling line")
             if len(tokens) < 2:
                 _fail(source, lineno, "expected 'coupling num ... / den ...'")
-            rest = line.split(None, 1)[1]
             try:
-                coupling = tf_from_text(rest)
+                self.coupling = tf_from_text(line.strip().split(None, 1)[1])
             except ValidationError as exc:
                 _fail(source, lineno, str(exc))
         else:
             _fail(source, lineno, f"unknown directive {keyword!r}")
 
-    if n is None:
-        raise ValidationError(f"{source}: missing 'nodes <n>' header")
-    missing = sorted(set(range(n)) - node_dynamics.keys())
-    if missing:
-        raise ValidationError(f"{source}: missing dynamics for node(s) {missing}")
-    if coupling is None:
-        raise ValidationError(f"{source}: missing coupling line")
-    return n, edges, node_dynamics, coupling
+    def node_functions(self) -> dict[int, RationalTF]:
+        """The functions of the node lines read so far, by node index,
+        normalized as one table; raises at the first bad one in file order."""
+        if not self.rows:
+            return {}
+        rows = list(self.rows.values())
+        table = np.zeros((len(rows), 2, max(len(c) for _, *pair in rows for c in pair)))
+        for k, (_, num, den) in enumerate(rows):
+            table[k, 0, : len(num)] = num
+            table[k, 1, : len(den)] = den
+        try:
+            tfs = _tfs_from_table(table)
+        except ValidationError as exc:
+            k = int(np.argmax(_normalized_table(table)[2]))
+            _fail(self.source, rows[k][0], str(exc))
+        return dict(zip(self.rows, tfs))
+
+    def network(self, tol_cancel: float) -> NetworkModel:
+        """The network of a file whose every line has been read."""
+        nodes = self.node_functions()
+        n, source = self.n, self.source
+        if n is None:
+            raise ValidationError(f"{source}: missing 'nodes <n>' header")
+        missing = n - len(nodes)
+        if missing:  # found in time bounded by the file's size, however large n is
+            shown = list(islice(filterfalse(nodes.__contains__, range(n)), _MISSING_SHOWN))
+            total = f", the first {_MISSING_SHOWN} of {missing}" if missing > _MISSING_SHOWN else ""
+            raise ValidationError(f"{source}: missing dynamics for node(s) {shown}{total}")
+        if self.coupling is None:
+            raise ValidationError(f"{source}: missing coupling line")
+        i, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *self.ends], axis=1)
+        w = np.concatenate([np.zeros(0), *self.weights])
+        del self.ends, self.weights, self.rows  # before the n-by-n arrays
+        lap = _laplacian_from_arrays(n, i, j, w)
+        return NetworkModel(lap, [nodes[k] for k in range(n)], self.coupling,
+                            tol_cancel=tol_cancel)
 
 
 def parse_network_text(
@@ -244,30 +233,31 @@ def parse_network_text(
     source: str = "<network>",
     tol_cancel: float = DEFAULT_TOL_CANCEL,
 ) -> NetworkModel:
-    """The network a network file describes (see the module docstring).
-
-    A file the bulk read rejects is read by ``_scan``, which raises at its
-    first bad line.  A file the scan accepts is built from the scan's
-    fields: one whose Laplacian fails as a whole (an infinite weight), or
-    one with a node line of more than ``MAX_DEGREE + 1`` coefficients.
-    """
+    """The network a network file describes (see the module docstring)."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    is_edge = [ln.startswith("edge") or ln.lstrip().startswith("edge") for ln in lines]
+    reader = _NetworkReader(source)
+    run = 0  # the first line of the current run of edge lines
     try:
-        # An overflow rejects a coefficient; the scan warns when it reads it.
-        with np.errstate(over="ignore"):
-            n, i, j, w, nodes, coupling = _bulk_read(text)
-        lap = _laplacian_from_arrays(n, i, j, w)
-    except (ValueError, OverflowError, ValidationError):
-        n, edges, node_dynamics, coupling = _scan(text, source)
-        lap = laplacian_from_edges(n, edges)
-        nodes = [node_dynamics[i] for i in range(n)]
-    return NetworkModel(lap, nodes, coupling, tol_cancel=tol_cancel)
+        for k in compress(range(len(lines)), map(operator.not_, is_edge)):
+            reader.edges(lines, run, k)
+            reader.line(k + 1, lines[k])
+            run = k + 1
+        reader.edges(lines, run, len(lines))
+    except _LineError:
+        reader.node_functions()  # a bad node line above the bad line decides
+        raise
+    del lines, is_edge
+    return reader.network(tol_cancel)
 
 
 def _read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

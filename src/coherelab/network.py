@@ -53,6 +53,11 @@ def check_edge(n: int, i: int, j: int, w: float) -> None:
         raise NonPositiveWeight(f"edge ({i}, {j}) has non-positive weight {w}")
 
 
+def _edge_faults(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The mask of the edges ``(i[k], j[k], w[k])`` that ``check_edge`` rejects."""
+    return (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | ~(w > 0.0)
+
+
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     above = np.abs(vectors) > 1e-12
     first = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
@@ -71,8 +76,11 @@ class LaplacianMatrix:
         if not np.all(np.isfinite(mat)):
             raise ValidationError("Laplacian entries must be finite")
         # ||L||_inf is twice the largest degree: between rho(L) and 2 rho(L).
-        scale = float(np.max(np.abs(mat).sum(axis=1)))
-        asymmetry = float(np.linalg.norm(mat - mat.T))
+        with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
+            scale = float(np.max(np.abs(mat).sum(axis=1)))
+            asymmetry = float(np.linalg.norm(mat - mat.T))
+        if scale == np.inf:
+            raise ValidationError("Laplacian entries are too large: an absolute row sum overflows")
         if asymmetry > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValidationError(
                 f"matrix is not symmetric (deviation {asymmetry:.3e})")
@@ -153,7 +161,7 @@ def _laplacian_from_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) 
     """
     if n < 1:
         raise ValidationError("node count must be positive")
-    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | ~(w > 0.0)
+    bad = _edge_faults(n, i, j, w)
     if bad.any():
         k = int(np.argmax(bad))
         check_edge(n, int(i[k]), int(j[k]), float(w[k]))

@@ -233,8 +233,9 @@ class RationalTF:
         if den.is_zero:
             raise ValidationError("denominator polynomial is zero")
         lead = den.coeffs[-1]
-        self.num = Polynomial(num.coeffs / lead, tol_zero)
-        self.den = Polynomial(den.coeffs / lead, tol_zero)
+        with np.errstate(over="ignore"):  # Polynomial rejects the overflow
+            self.num = Polynomial(num.coeffs / lead, tol_zero)
+            self.den = Polynomial(den.coeffs / lead, tol_zero)
 
     @classmethod
     def _normalized(cls, num: np.ndarray, den: np.ndarray) -> "RationalTF":

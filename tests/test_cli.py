@@ -552,6 +552,33 @@ class TestPlumbing:
         assert code == 1
         assert "bad.net:2" in err
 
+    def test_a_file_that_is_not_utf8_fails_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.net"
+        path.write_bytes(("# caf\xe9\n" + SWING_LINE).encode("latin-1"))
+        code, out, err = run(capsys, "check", "--net", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"coherelab: error: cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    TWO_NODES = ("nodes 2\nedge 0 1 1.0\nnode 0 num 1 / den 1 1\nnode 1 num 1 / den 1 1\n"
+                 "coupling num 1 / den 1\n")
+
+    @pytest.mark.parametrize("line, lineno", [("node 0 num 1 / den 1 1", 3),
+                                              ("coupling num 1 / den 1", 5)])
+    def test_an_overflowing_coefficient_fails_without_a_warning(self, capsys, netfile,
+                                                                line, lineno):
+        keyword = line.rsplit(" num", 1)[0]
+        path = netfile(self.TWO_NODES.replace(line, f"{keyword} num 1e300 / den 1e-300"))
+        code, out, err = run(capsys, "check", "--net", path)
+        assert (code, out, err) == (
+            1, "", f"coherelab: error: {path}:{lineno}: polynomial coefficients must be finite\n")
+
+    def test_an_edge_weight_whose_laplacian_norm_overflows_is_rejected(self, capsys, netfile):
+        code, out, err = run(capsys, "check", "--net",
+                             netfile(self.TWO_NODES.replace("edge 0 1 1.0", "edge 0 1 1e308")))
+        assert (code, out, err) == (1, "", "coherelab: error: Laplacian entries are too large: "
+                                           "an absolute row sum overflows\n")
+
     def test_identically_zero_node_is_rejected(self, capsys, netfile):
         zero_node = (
             "nodes 2\n"

@@ -1,7 +1,11 @@
 """Tests for the network and model file formats."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +22,16 @@ from coherelab import (
     network_file_text,
     parse_model_text,
     parse_network_text,
+    read_model_file,
     read_network_file,
     tf_approx_equal,
     write_network_file,
 )
-from coherelab import netfile, rational
-from coherelab.network import k_regular_ring, laplacian_from_edges
+import coherelab
+from coherelab import rational
+from coherelab.netfile import _fail, _float_field, _int_field, _strip
+from coherelab.network import check_edge, k_regular_ring, laplacian_from_edges
+from coherelab.rational import tf_from_text
 
 GOOD_TEXT = """\
 # a three-node line graph
@@ -158,6 +166,56 @@ class TestParseNetworkErrors:
             read_network_file(tmp_path / "absent.net")
         assert "cannot read" in str(excinfo.value)
 
+    @pytest.mark.parametrize("read, text", [(read_network_file, GOOD_TEXT),
+                                            (read_model_file, "num 1\nden 0 1\n")])
+    def test_a_file_that_is_not_utf8_cannot_be_read(self, tmp_path, read, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(("# caf\xe9\n" + text).encode("latin-1"))
+        with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(path))}: 'utf-8'"):
+            read(path)
+
+    @pytest.mark.parametrize("n, message", [
+        (11, "node(s) [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+        (12, "node(s) [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], the first 10 of 11"),
+    ])
+    def test_many_missing_nodes_are_counted_and_the_first_listed(self, n, message):
+        text = f"nodes {n}\nnode 0 num 1 / den 1\ncoupling num 1 / den 1\n"
+        self.check_fails(text, f"test.net: missing dynamics for {message}")
+
+    def test_a_large_node_count_fails_without_storage_of_its_size(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as excinfo:
+                parse_network_text("nodes 1000000\n", source="test.net")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == ("test.net: missing dynamics for node(s) "
+                                      "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], the first 10 of 1000000")
+        assert peak < 2**20
+
+    def test_a_node_count_beyond_memory_fails_with_the_missing_dynamics_error(self):
+        # Read in a child under an address-space limit, so that a reader
+        # that allocates by the node count fails there.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from coherelab import parse_network_text\n"
+            "try:\n"
+            "    parse_network_text('nodes 1' + '0' * 18 + '\\nnode 5 num 1 / den 1\\n',"
+            " source='big.net')\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(coherelab.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("ValidationError big.net: missing dynamics for node(s) [0, 1, 2, 3, "
+                               "4, 6, 7, 8, 9, 10], the first 10 of 999999999999999999\n")
+
 
 class TestNetworkRoundTrip:
     def test_written_file_parses_to_identical_model(self, tmp_path):
@@ -234,13 +292,90 @@ class TestModelFiles:
 
 
 # ---------------------------------------------------------------------------
-# The bulk read against the line-by-line scan
+# The reader against a line-by-line scan
 # ---------------------------------------------------------------------------
 
 
+def _scan(text: str, source: str) -> tuple[int, list, dict[int, RationalTF], RationalTF]:
+    """``(n, edges, node dynamics by index, coupling)`` of a network file,
+    read line by line; raises at the first bad line, in file order."""
+    n: int | None = None
+    edges: list[tuple[int, int, float]] = []
+    node_dynamics: dict[int, RationalTF] = {}
+    coupling: RationalTF | None = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip(raw)
+        if not line:
+            continue
+        tokens = line.split()
+        keyword = tokens[0]
+        if keyword == "nodes":
+            if n is not None:
+                _fail(source, lineno, "duplicate 'nodes' header")
+            if len(tokens) != 2:
+                _fail(source, lineno, "expected 'nodes <count>'")
+            n = _int_field(tokens[1], "node count", source, lineno)
+            if n < 1:
+                _fail(source, lineno, f"node count must be positive, got {n}")
+            continue
+        if n is None:
+            _fail(source, lineno, "the 'nodes <n>' header must come before other lines")
+        if keyword == "edge":
+            if len(tokens) != 4:
+                _fail(source, lineno, "expected 'edge <i> <j> <weight>'")
+            i = _int_field(tokens[1], "edge endpoint", source, lineno)
+            j = _int_field(tokens[2], "edge endpoint", source, lineno)
+            w = _float_field(tokens[3], "edge weight", source, lineno)
+            try:
+                check_edge(n, i, j, w)
+            except ValidationError as exc:
+                _fail(source, lineno, str(exc))
+            edges.append((i, j, w))
+        elif keyword == "node":
+            if len(tokens) < 3:
+                _fail(source, lineno, "expected 'node <i> num ... / den ...'")
+            idx = _int_field(tokens[1], "node index", source, lineno)
+            if not 0 <= idx < n:
+                _fail(source, lineno, f"node index {idx} outside 0..{n - 1}")
+            if idx in node_dynamics:
+                _fail(source, lineno, f"duplicate dynamics for node {idx}")
+            rest = line.split(None, 2)[2]
+            try:
+                node_dynamics[idx] = tf_from_text(rest)
+            except ValidationError as exc:
+                _fail(source, lineno, str(exc))
+        elif keyword == "coupling":
+            if coupling is not None:
+                _fail(source, lineno, "duplicate coupling line")
+            if len(tokens) < 2:
+                _fail(source, lineno, "expected 'coupling num ... / den ...'")
+            rest = line.split(None, 1)[1]
+            try:
+                coupling = tf_from_text(rest)
+            except ValidationError as exc:
+                _fail(source, lineno, str(exc))
+        else:
+            _fail(source, lineno, f"unknown directive {keyword!r}")
+
+    if n is None:
+        raise ValidationError(f"{source}: missing 'nodes <n>' header")
+    # At least 11 of the first len(node_dynamics) + 11 indices are missing
+    # when more than 10 are.
+    missing = [i for i in range(min(n, len(node_dynamics) + 11)) if i not in node_dynamics]
+    if len(missing) > 10:
+        raise ValidationError(f"{source}: missing dynamics for node(s) {missing[:10]}, "
+                              f"the first 10 of {n - len(node_dynamics)}")
+    if missing:
+        raise ValidationError(f"{source}: missing dynamics for node(s) {missing}")
+    if coupling is None:
+        raise ValidationError(f"{source}: missing coupling line")
+    return n, edges, node_dynamics, coupling
+
+
 def _per_line(text):
-    """The network of a file read line by line (``netfile._scan``)."""
-    n, edges, dynamics, coupling = netfile._scan(text, "test.net")
+    """The network of a file read line by line (``_scan``)."""
+    n, edges, dynamics, coupling = _scan(text, "test.net")
     return NetworkModel(laplacian_from_edges(n, edges), [dynamics[i] for i in range(n)], coupling)
 
 
@@ -319,7 +454,6 @@ class TestBulkRead:
     @given(text=network_texts())
     @settings(max_examples=150, deadline=None)
     def test_valid_texts_read_in_bulk_as_line_by_line(self, text):
-        netfile._bulk_read(text)  # the bulk checks accept every valid file
         assert _outcome(parse_network_text, text) == _outcome(_per_line, text)
 
     @given(text=network_texts(), data=st.data())
@@ -379,6 +513,39 @@ class TestBulkRead:
         text = "nodes 3\n" + "edge 0 1 1.0\n" * 3000 + "edge 2 2 1.0\n" + GOOD_TEXT.split("\n", 2)[2]
         with pytest.raises(ValidationError, match=r"^test\.net:3002: self-loop at node 2$"):
             parse_network_text(text, source="test.net")
+
+    @pytest.mark.parametrize("position", [2048, 2049])
+    @pytest.mark.parametrize("bad, message", [("edge 2 2 1.0", "self-loop at node 2"),
+                                              ("edge 0 1 w", "edge weight must be a number, got 'w'")])
+    def test_a_bad_edge_line_at_a_block_boundary_is_named(self, position, bad, message):
+        lines = ["nodes 3", *["edge 0 1 1.0"] * 2100, *GOOD_TEXT.splitlines()[2:]]
+        lines[position] = bad  # the position-th edge line of the run
+        text = "\n".join(lines) + "\n"
+        want = f"test.net:{position + 1}: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            parse_network_text(text, source="test.net")
+        assert _outcome(lambda t: parse_network_text(t, source="test.net"), text) == \
+            _outcome(_per_line, text)
+
+    def test_an_edge_run_split_by_a_node_line(self):
+        lines = ["nodes 3", *(f"edge {k % 3} {(k + 1) % 3} {1 + k % 5}.5" for k in range(3000)),
+                 "node 1 num 1 / den 1 1", "node 2 num 2 / den 1 1", "coupling num 1 / den 1"]
+        lines.insert(2100, "node 0 num 1 / den 2 1")
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse_network_text, text) == _outcome(_per_line, text)
+        lines[2102] = "edge 1 1 1.0"
+        with pytest.raises(ValidationError, match=r"^test\.net:2103: self-loop at node 1$"):
+            parse_network_text("\n".join(lines), source="test.net")
+
+    @pytest.mark.parametrize("node_first", [True, False])
+    def test_the_first_of_a_bad_node_line_and_a_bad_edge_line_decides(self, node_first):
+        bad = ["node 0 num 1 / den 0", "edge 2 2 1.0"]
+        message = "denominator polynomial is zero" if node_first else "self-loop at node 2"
+        first, last = bad if node_first else bad[::-1]
+        lines = ["nodes 3", first, *["edge 0 1 1.0"] * 3000, last,
+                 "node 1 num 1 / den 1", "node 2 num 1 / den 1", "coupling num 1 / den 1"]
+        with pytest.raises(ValidationError, match=f"^test\\.net:2: {message}$"):
+            parse_network_text("\n".join(lines), source="test.net")
 
 
 def _bench_shaped(n, per_side, weight, nodes, coupling):

@@ -126,6 +126,17 @@ def test_positive_off_diagonal_rejected():
         LaplacianMatrix([[-1.0, 1.0], [1.0, -1.0]])
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[1e308, -1e308], [-0.5e308, 0.5e308]], "too large"),  # asymmetric
+    ([[-1e308, 1e308], [1e308, -1e308]], "too large"),  # positive off-diagonal
+    # A finite norm, but the asymmetry overflows.
+    ([[0.5e308, -0.95e308], [0.95e308, -0.5e308]], "not symmetric"),
+])
+def test_entries_near_the_float_limit_are_checked_without_warnings(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        LaplacianMatrix(matrix)
+
+
 def test_nonzero_row_sums_rejected():
     with pytest.raises(ValidationError, match="row sums"):
         LaplacianMatrix([[2.0, -1.0], [-1.0, 1.0]])
