@@ -385,9 +385,6 @@ class CompleteFamily:
     def build(self, n: int) -> LaplacianMatrix:
         return complete_graph(n, self.weight)
 
-    def label(self) -> str:
-        return "complete"
-
 
 @dataclass(frozen=True)
 class RingFamily:
@@ -403,9 +400,6 @@ class RingFamily:
     def build(self, n: int) -> LaplacianMatrix:
         per_side = max(1, round(self.ratio * n / 2))
         return k_regular_ring(n, per_side, self.weight)
-
-    def label(self) -> str:
-        return f"ring:{self.ratio}"
 
 
 GraphFamily = Union[CompleteFamily, RingFamily]

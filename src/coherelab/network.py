@@ -78,12 +78,14 @@ class LaplacianMatrix:
         # ||L||_inf is twice the largest degree: between rho(L) and 2 rho(L).
         with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
             scale = float(np.max(np.abs(mat).sum(axis=1)))
-            asymmetry = float(np.linalg.norm(mat - mat.T))
         if scale == np.inf:
             raise ValidationError("Laplacian entries are too large: an absolute row sum overflows")
-        if asymmetry > SYMMETRY_RTOL * max(scale, 1e-300):
+        # Scaled first, so that neither the difference nor its squares overflow.
+        unit = mat / max(scale, 1e-300)
+        asymmetry = float(np.linalg.norm(unit - unit.T))
+        if asymmetry > SYMMETRY_RTOL:
             raise ValidationError(
-                f"matrix is not symmetric (deviation {asymmetry:.3e})")
+                f"matrix is not symmetric (relative deviation {asymmetry:.3e})")
         row_sums = float(np.max(np.abs(mat.sum(axis=1))))
         if row_sums > ROW_SUM_RTOL * scale:
             raise ValidationError(

@@ -4,7 +4,9 @@ Polynomials are stored densely in ascending coefficient order; a rational
 transfer function keeps a monic denominator so equal functions have equal
 coefficient vectors.  Pole/zero cancellation is explicit (``simplify``),
 never silent, and all root finding goes through companion-matrix
-eigenvalues.
+eigenvalues.  ``simplify`` cancels at the means of clusters of
+denominator roots, so a repeated root, which the companion matrix splits
+by about the square root of machine precision, cancels to full accuracy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ MAX_DEGREE = 64
 DEFAULT_TOL_ZERO = 1e-12
 DEFAULT_TOL_CANCEL = 1e-8
 
-# Imaginary parts below this (relative) size mark a companion-matrix root
-# as real when regrouping conjugate pairs.
+# The floor of the relative root-cluster radius of ``simplify``,
+# ``10 max(tol_cancel, _REAL_ROOT_IMAG_TOL)``; a cluster whose mean lies
+# within that radius of the real axis counts as real.
 _REAL_ROOT_IMAG_TOL = 1e-9
 
 
@@ -79,16 +82,15 @@ class Properness(enum.Enum):
 class Polynomial:
     """Real polynomial ``c0 + c1 s + ... + cd s^d`` (ascending coefficients).
 
-    Trailing coefficients whose magnitude is at most ``tol_zero`` times the
-    largest coefficient are trimmed on construction, so the stored degree is
-    the numerically supported one.  The zero polynomial is stored as ``[0.0]``
-    and reports degree ``-1``.
+    Trailing coefficients whose magnitude is at most ``DEFAULT_TOL_ZERO``
+    times the largest coefficient are trimmed on construction, so the stored
+    degree is the numerically supported one.  The zero polynomial is stored
+    as ``[0.0]`` and reports degree ``-1``.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Union[Sequence[float], np.ndarray],
-                 tol_zero: float = DEFAULT_TOL_ZERO):
+    def __init__(self, coeffs: Union[Sequence[float], np.ndarray]):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float)).ravel()
         if arr.size == 0:
             raise ValidationError("polynomial needs at least one coefficient")
@@ -98,7 +100,7 @@ class Polynomial:
         if scale == 0.0:
             arr = np.zeros(1)
         else:
-            significant = np.nonzero(np.abs(arr) > tol_zero * scale)[0]
+            significant = np.nonzero(np.abs(arr) > DEFAULT_TOL_ZERO * scale)[0]
             if significant.size == 0:
                 arr = np.zeros(1)
             else:
@@ -214,28 +216,20 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     return roots[order]
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return npoly.polymul(a, b)
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return npoly.polyadd(a, b)
-
-
 class RationalTF:
     """Ratio of two real polynomials, normalized to a monic denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, tol_zero: float = DEFAULT_TOL_ZERO):
-        num = num if isinstance(num, Polynomial) else Polynomial(num, tol_zero)
-        den = den if isinstance(den, Polynomial) else Polynomial(den, tol_zero)
+    def __init__(self, num, den):
+        num = num if isinstance(num, Polynomial) else Polynomial(num)
+        den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ValidationError("denominator polynomial is zero")
         lead = den.coeffs[-1]
         with np.errstate(over="ignore"):  # Polynomial rejects the overflow
-            self.num = Polynomial(num.coeffs / lead, tol_zero)
-            self.den = Polynomial(den.coeffs / lead, tol_zero)
+            self.num = Polynomial(num.coeffs / lead)
+            self.den = Polynomial(den.coeffs / lead)
 
     @classmethod
     def _normalized(cls, num: np.ndarray, den: np.ndarray) -> "RationalTF":
@@ -279,23 +273,22 @@ def tf_add(a: RationalTF, b: RationalTF,
            tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
     """Exact sum, followed by one simplification pass.
 
-    Equal denominators add their numerators directly: cross multiplying
-    would square every denominator root, and a double root is located
-    only to about the square root of machine precision, too coarsely for
-    ``simplify`` to cancel it back to full accuracy.
+    Equal denominators add their numerators: cross multiplying squares each
+    pole, and ``simplify`` cannot always rejoin the copies (``g + g`` over
+    eight real poles in [0.5, 2] would keep 15 of 16, off by 6.7e-8).
     """
     if np.array_equal(a.den.coeffs, b.den.coeffs):
-        return simplify(RationalTF(_poly_add(a.num.coeffs, b.num.coeffs), a.den), tol_cancel)
-    num = _poly_add(_poly_mul(a.num.coeffs, b.den.coeffs),
-                    _poly_mul(b.num.coeffs, a.den.coeffs))
-    den = _poly_mul(a.den.coeffs, b.den.coeffs)
+        return simplify(RationalTF(npoly.polyadd(a.num.coeffs, b.num.coeffs), a.den), tol_cancel)
+    num = npoly.polyadd(npoly.polymul(a.num.coeffs, b.den.coeffs),
+                        npoly.polymul(b.num.coeffs, a.den.coeffs))
+    den = npoly.polymul(a.den.coeffs, b.den.coeffs)
     return simplify(RationalTF(num, den), tol_cancel)
 
 
 def tf_mul(a: RationalTF, b: RationalTF,
            tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
-    num = _poly_mul(a.num.coeffs, b.num.coeffs)
-    den = _poly_mul(a.den.coeffs, b.den.coeffs)
+    num = npoly.polymul(a.num.coeffs, b.num.coeffs)
+    den = npoly.polymul(a.den.coeffs, b.den.coeffs)
     return simplify(RationalTF(num, den), tol_cancel)
 
 
@@ -309,132 +302,82 @@ def tf_inv(g: RationalTF) -> RationalTF:
     return RationalTF(g.den.coeffs, g.num.coeffs)
 
 
-def _deflate_linear(coeffs: np.ndarray, root: float) -> tuple[np.ndarray, float]:
-    """Long division by (s - root); returns (quotient, remainder)."""
-    deg = len(coeffs) - 1
-    work = np.array(coeffs)
-    quot = np.empty(deg)
-    for k in range(deg, 0, -1):
-        f = work[k]
-        quot[k - 1] = f
-        work[k - 1] += root * f
-    return quot, float(work[0])
+def _horner(coeffs: np.ndarray, s: complex) -> tuple[complex, float]:
+    """``p(s)`` and the envelope ``sum |c_k| |s|^k`` in one pure-Python
+    Horner pass, cheaper than numpy for the few coefficients of a node."""
+    value, envelope, radius = 0.0, 0.0, abs(s)
+    for c in reversed(coeffs.tolist()):
+        value = value * s + c
+        envelope = envelope * radius + abs(c)
+    return value, envelope
 
 
-def _deflate_quadratic(coeffs: np.ndarray,
-                       root: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Long division by the real factor (s - root)(s - conj(root)).
-
-    Returns (quotient, remainder) with the degree-1 remainder as ``[r0, r1]``.
-    """
-    p = -2.0 * root.real
-    q = abs(root) ** 2
-    deg = len(coeffs) - 1
-    work = np.array(coeffs)
-    quot = np.zeros(deg - 1)
-    for k in range(deg, 1, -1):
-        f = work[k]
-        quot[k - 2] = f
-        work[k] = 0.0
-        work[k - 1] -= p * f
-        work[k - 2] -= q * f
-    return quot, work[:2]
-
-
-def _try_linear_cancel(num_work: np.ndarray, root: float,
-                       tol_cancel: float) -> np.ndarray | None:
-    """Quotient of num_work by (s - root) if the remainder is negligible."""
-    if len(num_work) < 2:
-        return None
-    quot, rem = _deflate_linear(num_work, root)
-    if abs(rem) <= tol_cancel * _poly_envelope(num_work, abs(root)):
-        return quot
-    return None
+def _root_clusters(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+    """Single-link clusters of ``roots`` as ``(mean, size)``, in the order
+    of their first members: two roots ``r``, ``q`` are linked when
+    ``|r - q| <= radius * (1 + max(|r|, |q|))``."""
+    roots = roots.tolist()
+    label = list(range(len(roots)))
+    for i, r in enumerate(roots):
+        for j, q in enumerate(roots[:i]):
+            if label[j] != label[i] and abs(r - q) <= radius * (1.0 + max(abs(r), abs(q))):
+                low, high = sorted((label[i], label[j]))
+                label = [low if k == high else k for k in label]
+    members: dict[int, list[complex]] = {}
+    for k, r in zip(label, roots):
+        members.setdefault(k, []).append(r)
+    return [(sum(c) / len(c), len(c)) for c in members.values()]
 
 
 def simplify(g: RationalTF, tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
     """Cancel shared numerator/denominator roots.
 
-    Each denominator root is tested by division: the factor is cancelled
-    when dividing the numerator by it leaves a remainder at most
-    ``tol_cancel`` times the evaluation envelope ``sum |c_k| |root|^k``.
-    This is the root-distance test weighted by the local derivative, and it
-    stays reliable for repeated roots, whose companion-matrix locations are
-    only accurate to a fractional power of machine epsilon.  Conjugate
-    pairs are deflated jointly so coefficients remain real; a pair whose
-    imaginary part is within the cancellation scale is also retried as a
-    twice-repeated real root, because that is how split double roots
-    surface.  When nothing cancels the input is returned unchanged,
-    preserving its exact coefficients.
+    The denominator roots are grouped by ``_root_clusters`` at the radius
+    ``10 max(tol_cancel, _REAL_ROOT_IMAG_TOL)`` and cancelled at each
+    cluster's mean: the companion matrix splits a well-conditioned double
+    root by about the square root of machine epsilon, around a mean
+    accurate to machine precision.  (A triple root splits by about
+    eps^(1/3), beyond the radius; its members cancel one by one.)  A
+    cluster whose mean lies within the radius of the real axis cancels
+    ``s - r``; one above the axis cancels ``(s - r)(s - conj r)`` for
+    itself and its mirror image.
+
+    The factor is divided out of the numerator up to the cluster's size
+    while the remainder is at most ``tol_cancel`` times the evaluation
+    envelope ``sum |c_k| |r|^k``, the root-distance test weighted by the
+    local derivative.  Uncancelled members stay in the denominator at the
+    cluster mean.  When nothing cancels the input is returned unchanged,
+    with its exact coefficients.
     """
     if g.num.is_zero:
         return RationalTF(np.zeros(1), np.ones(1))
     if g.num.degree == 0:  # no numerator root to cancel
         return g
-    den_roots = poly_roots(g.den)
-    if den_roots.size == 0:
-        return g
-
-    num_work = np.array(g.num.coeffs)
+    radius = 10.0 * max(tol_cancel, _REAL_ROOT_IMAG_TOL)
+    num = g.num.coeffs
     kept: list[complex] = []
-    used = np.zeros(den_roots.size, dtype=bool)
-    changed = False
-
-    for idx, root in enumerate(den_roots):
-        if used[idx]:
-            continue
-        used[idx] = True
-        if abs(root.imag) <= _REAL_ROOT_IMAG_TOL * (1.0 + abs(root)):
-            quot = _try_linear_cancel(num_work, float(root.real), tol_cancel)
-            if quot is not None:
-                num_work = quot
-                changed = True
-            else:
-                kept.append(complex(root.real))
+    for mean, size in _root_clusters(poly_roots(g.den), radius):
+        if abs(mean.imag) <= radius * (1.0 + abs(mean)):
+            root, factor = mean.real, np.array([-mean.real, 1.0])
+        elif mean.imag > 0.0:
+            root, factor = mean, np.array([abs(mean) ** 2, -2.0 * mean.real, 1.0])
         else:
-            partner = None
-            best = np.inf
-            for jdx in range(idx + 1, den_roots.size):
-                if used[jdx]:
-                    continue
-                dist = abs(den_roots[jdx] - root.conjugate())
-                if dist < best:
-                    best = dist
-                    partner = jdx
-            if partner is None:
-                # Unpaired complex root (defensive; real input coefficients
-                # produce exact conjugate pairs).  Keep it as-is.
-                kept.append(complex(root))
-                continue
-            used[partner] = True
-            cancelled = False
-            if len(num_work) >= 3:
-                quot, rem = _deflate_quadratic(num_work, root)
-                rem_size = abs(rem[0]) + abs(rem[1]) * max(1.0, abs(root))
-                if rem_size <= tol_cancel * _poly_envelope(num_work, abs(root)):
-                    num_work = quot
-                    changed = True
-                    cancelled = True
-            if not cancelled:
-                near_real_span = 10.0 * max(tol_cancel, _REAL_ROOT_IMAG_TOL)
-                if abs(root.imag) <= near_real_span * (1.0 + abs(root)):
-                    # A conjugate pair this flat is a split double real root.
-                    # Cancel it factor by factor against the numerator.
-                    rho = float(root.real)
-                    remaining = 2
-                    while remaining:
-                        quot = _try_linear_cancel(num_work, rho, tol_cancel)
-                        if quot is None:
-                            break
-                        num_work = quot
-                        changed = True
-                        remaining -= 1
-                    kept.extend([complex(rho)] * remaining)
-                else:
-                    kept.append(complex(root))
-                    kept.append(complex(den_roots[partner]))
+            continue  # its mirror cluster above the axis stands for it
+        left = size
+        while left and len(num) >= len(factor):
+            # The remainder R of a division by the factor has R(root) =
+            # num(root), so no division cancels where num(root) is not small.
+            value, envelope = _horner(num, root)
+            if abs(value) > tol_cancel * envelope:
+                break
+            quot, rem = npoly.polydiv(num, factor)
+            if _poly_envelope(rem, max(1.0, abs(root))) > tol_cancel * envelope:
+                break
+            num, left = quot, left - 1
+        roots = [complex(root)] if len(factor) == 2 else [mean.conjugate(), mean]
+        kept += roots * left
 
-    if not changed:
+    if num is g.num.coeffs:
         return g
     lead = g.den.coeffs[-1]
     if kept:
@@ -443,7 +386,7 @@ def simplify(g: RationalTF, tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalT
         den_new = np.asarray(den_new.real, dtype=float) * lead
     else:
         den_new = np.array([lead])
-    return RationalTF(num_work, den_new)
+    return RationalTF(num, den_new)
 
 
 def harmonic_mean(gs: Iterable[RationalTF],
@@ -473,11 +416,11 @@ def harmonic_mean(gs: Iterable[RationalTF],
             # ``tf_add``: cross multiplying would raise the multiplicity of
             # every common root.
             scale = acc_den[-1] / inv_den[-1]
-            acc_num = npoly.polytrim(_poly_add(acc_num, scale * inv_num), 0.0)
+            acc_num = npoly.polytrim(npoly.polyadd(acc_num, scale * inv_num), 0.0)
         else:
-            acc_num = npoly.polytrim(_poly_add(_poly_mul(acc_num, inv_den),
-                                               _poly_mul(inv_num, acc_den)), 0.0)
-            acc_den = _poly_mul(acc_den, inv_den)
+            acc_num = npoly.polytrim(npoly.polyadd(npoly.polymul(acc_num, inv_den),
+                                                   npoly.polymul(inv_num, acc_den)), 0.0)
+            acc_den = npoly.polymul(acc_den, inv_den)
         lead = acc_den[-1]
         acc_num = acc_num / lead
         acc_den = acc_den / lead

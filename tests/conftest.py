@@ -7,9 +7,15 @@ seeded tests reproduce bit-for-bit.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from coherelab.network import LaplacianMatrix, laplacian_from_edges
 from coherelab.rational import RationalTF
+
+# The example budget of the property tests that do not pin their own, those
+# of test_rational.py; ``--hypothesis-profile=deep`` runs ten times as many.
+settings.register_profile("default", max_examples=150, deadline=None)
+settings.register_profile("deep", max_examples=1500, deadline=None)
 
 
 def random_connected_laplacian(rng: np.random.Generator, n: int,

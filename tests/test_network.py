@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ def test_positive_off_diagonal_rejected():
 def test_entries_near_the_float_limit_are_checked_without_warnings(matrix, message):
     with pytest.raises(ValidationError, match=message):
         LaplacianMatrix(matrix)
+
+
+def test_a_huge_laplacian_with_a_tiny_asymmetry_is_accepted_without_warnings():
+    # The squared differences of the entries, about 1e330, overflow unscaled.
+    a, b = 1e180, 1e180 * (1.0 + 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lap = LaplacianMatrix([[a, -a], [-b, b]])
+    assert lap.matrix[1, 0] == -b
 
 
 def test_nonzero_row_sums_rejected():

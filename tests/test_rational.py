@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from coherelab.rational import (
     AT_INFINITY,
@@ -145,7 +145,8 @@ def test_inverse_of_zero_function_rejected():
 
 @given(coefficient_tfs(), coefficient_tfs())
 @example(RationalTF([2.0], [3.0, 0.0, 4.0, 1.0]), RationalTF([2.0], [3.0, 0.0, 4.0, 1.0]))
-@settings(max_examples=60, deadline=None)
+# The sum's denominator s (s + 20/3)^2 has a double root.
+@example(RationalTF([8 / 3], [0.0, 20 / 3, 1.0]), RationalTF([0.0, 8 / 3], [20 / 3, 1.0]))
 def test_add_is_pointwise(a, b):
     va, vb = _finite_eval(a, _GENERIC_S), _finite_eval(b, _GENERIC_S)
     total = tf_add(a, b)
@@ -154,8 +155,14 @@ def test_add_is_pointwise(a, b):
     assert vt == pytest.approx(va + vb, rel=1e-7, abs=1e-9)
 
 
+def test_add_over_an_equal_denominator_keeps_it():
+    g = RationalTF([1.0], np.polynomial.polynomial.polyfromroots(-np.linspace(0.5, 2.0, 8)))
+    total = tf_add(g, g)
+    assert np.array_equal(total.den.coeffs, g.den.coeffs)
+    assert tf_eval(total, _GENERIC_S) == pytest.approx(2.0 * tf_eval(g, _GENERIC_S), rel=1e-12)
+
+
 @given(coefficient_tfs(), coefficient_tfs())
-@settings(max_examples=60, deadline=None)
 def test_mul_is_pointwise(a, b):
     va, vb = _finite_eval(a, _GENERIC_S), _finite_eval(b, _GENERIC_S)
     prod = tf_mul(a, b)
@@ -165,21 +172,18 @@ def test_mul_is_pointwise(a, b):
 
 
 @given(coefficient_tfs(), st.floats(min_value=-4, max_value=4))
-@settings(max_examples=40, deadline=None)
 def test_scale_is_pointwise(g, c):
     v = _finite_eval(g, _GENERIC_S)
     assert tf_eval(tf_scale(g, c), _GENERIC_S) == pytest.approx(c * v, abs=1e-10)
 
 
 @given(separated_root_tfs())
-@settings(max_examples=60, deadline=None)
 def test_double_inverse_is_identity(g):
     assume(not g.num.is_zero)
     assert tf_approx_equal(tf_inv(tf_inv(g)), g, 1e-12)
 
 
 @given(separated_root_tfs())
-@settings(max_examples=60, deadline=None)
 def test_product_with_inverse_is_one(g):
     assume(not g.num.is_zero)
     one = tf_mul(g, tf_inv(g))
@@ -212,6 +216,32 @@ def test_simplify_cancels_a_double_root_split_into_a_conjugate_pair():
         assert tf_eval(g, s) == pytest.approx(tf_eval(raw, s), rel=1e-12)
 
 
+_npoly = np.polynomial.polynomial
+
+
+@pytest.mark.parametrize("raw, reduced", [
+    # (s+1.3)(s+2) / ((s+1.3)^2 (s+4)): the double root splits along the real axis.
+    (RationalTF(_npoly.polyfromroots([-1.3, -2.0]), _npoly.polyfromroots([-1.3, -1.3, -4.0])),
+     RationalTF([2.0, 1.0], _npoly.polyfromroots([-1.3, -4.0]))),
+    # (s^2+s+1) / (s^2+s+1)^2: a double conjugate pair.
+    (RationalTF([1.0, 1.0, 1.0], _npoly.polymul([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+     RationalTF([1.0], [1.0, 1.0, 1.0])),
+    # (s-1.1)(s+0.5) / ((s-1.1)(s-3) (s-1.1)(s+0.5)): the double root 1.1
+    # splits into the conjugate pair 1.1 +- 2.6e-8j.
+    (RationalTF(_npoly.polyfromroots([1.1, -0.5]),
+                _npoly.polymul(_npoly.polyfromroots([1.1, 3.0]),
+                               _npoly.polyfromroots([1.1, -0.5]))),
+     RationalTF([1.0], _npoly.polyfromroots([1.1, 3.0]))),
+])
+def test_simplify_cancels_a_double_root_to_full_accuracy(raw, reduced):
+    # A triple root splits by about eps^(1/3), beyond the cluster radius of
+    # ``simplify``, and keeps the accuracy of cancelling root by root.
+    g = simplify(raw)
+    assert (g.num.degree, g.den.degree) == (reduced.num.degree, reduced.den.degree)
+    for s in (0.4 + 0.9j, 1.7 - 0.3j, -1.0 + 3.0j):
+        assert tf_eval(g, s) == pytest.approx(tf_eval(reduced, s), rel=1e-12)
+
+
 def test_simplify_keeps_distinct_roots():
     g = RationalTF([1.0, 1.0], [2.0, 1.0])
     out = simplify(g)
@@ -219,7 +249,6 @@ def test_simplify_keeps_distinct_roots():
 
 
 @given(separated_root_tfs(), separated_root_tfs())
-@settings(max_examples=40, deadline=None)
 def test_simplify_preserves_function_values(a, b):
     raw = RationalTF(
         np.polynomial.polynomial.polymul(a.num.coeffs, b.num.coeffs),
@@ -263,7 +292,6 @@ def test_harmonic_mean_of_first_order_pair():
 
 @given(separated_root_tfs(), st.integers(min_value=1, max_value=4))
 @example(RationalTF([5.0, 9.5, 5.5, 1.0], [1.5, 1.0]), 4)  # (s+1)(s+2)(s+2.5)/(s+1.5)
-@settings(max_examples=40, deadline=None)
 def test_harmonic_mean_idempotent_on_constant_sequences(g, n):
     assume(not g.num.is_zero)
     hm = harmonic_mean([g] * n)
@@ -271,7 +299,6 @@ def test_harmonic_mean_idempotent_on_constant_sequences(g, n):
 
 
 @given(st.lists(separated_root_tfs(max_degree=2), min_size=2, max_size=4))
-@settings(max_examples=40, deadline=None)
 def test_harmonic_mean_matches_pointwise_formula(gs):
     for g in gs:
         assume(not g.num.is_zero)
@@ -310,7 +337,6 @@ def test_properness_classification():
 
 
 @given(coefficient_tfs())
-@settings(max_examples=60, deadline=None)
 def test_text_round_trip_is_exact(g):
     back = tf_from_text(tf_to_text(g))
     assert np.array_equal(back.num.coeffs, g.num.coeffs)
@@ -365,7 +391,6 @@ def coefficient_tables(draw):
 
 
 @given(coefficient_tables())
-@settings(max_examples=150, deadline=None)
 def test_trim_rows_column_by_column_equals_the_reductions(table):
     got, want = _trim_rows(table), _reduced_trim_rows(table)
     assert got[0].tobytes() == want[0].tobytes()
@@ -380,7 +405,6 @@ def _tf_outcome(build):
 
 
 @given(coefficient_tables())
-@settings(max_examples=150, deadline=None)
 @example(np.array([[[1.0, 0.0]] + [[0.0, 0.0]], [[1.0, 2.0], [3.0, 0.5]]]))
 @example(np.zeros((1, 2, MAX_DEGREE + 2)) + 1.0)
 def test_a_table_builds_the_functions_of_its_rows(table):
