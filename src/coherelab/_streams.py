@@ -2,19 +2,22 @@
 
 Every draw of the package comes from a ``numpy`` generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=key)`` with the default ``PCG64``
-bit generator.  ``substream`` builds one such generator.  ``unit_table``
+bit generator.  ``substream`` builds one such generator.  ``unit_tables``
 gives the first ``random()`` doubles of ``n`` sibling keys
-``prefix + (i,)`` at once, bit for bit what ``n`` calls of ``substream``
-would give, in a few dozen vectorized passes instead of ``n`` generator
-constructions (about 20 µs each).
+``prefix + (i,)`` for each of several prefixes at once, bit for bit what
+one call of ``substream`` per key would give, in a few dozen vectorized
+passes instead of one generator construction (about 20 µs) per key;
+``unit_table`` is the table of one prefix.
 
 The siblings' entropy words differ only in the last one, ``i``, so the
 ``SeedSequence`` pool mixing (``numpy/random/bit_generator.pyx``) runs
-once on Python integers and only its last four rounds run per node.  The
-pool's ``generate_state`` words seed ``PCG64``, whose 128-bit LCG step
-and XSL-RR output (O'Neill, "PCG: A family of simple fast space-efficient
+once per prefix on Python integers and only its last four rounds run per
+node.  The pool words of every prefix are concatenated, and their
+``generate_state`` words seed ``PCG64``, whose 128-bit LCG step and
+XSL-RR output (O'Neill, "PCG: A family of simple fast space-efficient
 statistically good algorithms for random number generation",
-HMC-CS-2014-0905) run on pairs of uint64 arrays.
+HMC-CS-2014-0905) run on pairs of uint64 arrays of all prefixes' keys in
+one pass.
 """
 
 from __future__ import annotations
@@ -69,18 +72,27 @@ def substream(seed: int, key: tuple) -> np.random.Generator:
 
 
 def unit_table(seed: int, prefix: tuple, n: int, m: int) -> np.ndarray:
-    """``(n, m)`` table whose row ``i`` is ``substream(seed, prefix + (i,)).random(m)``.
+    """``(n, m)`` table whose row ``i`` is ``substream(seed, prefix + (i,)).random(m)``."""
+    return unit_tables(seed, [prefix], n, m)[0]
 
-    ``n >= 1``.  Row 0 is checked against ``substream`` itself, so a
-    ``numpy`` whose generators no longer match this derivation raises
-    ``NumericalError`` instead of changing the draws.
+
+def unit_tables(seed: int, prefixes, n: int, m: int) -> np.ndarray:
+    """``(len(prefixes), n, m)`` table whose block ``j`` is
+    ``unit_table(seed, prefixes[j], n, m)``, derived in one pass.
+
+    ``n >= 1``.  Row 0 of every block is checked against ``substream``
+    itself, so a ``numpy`` whose generators no longer match this
+    derivation raises ``NumericalError`` instead of changing the draws.
     """
-    prefix = check_spawn_key(prefix)
-    table = _pcg64_random(_pool_words(seed, prefix, n), m)
-    if not np.array_equal(table[0], substream(seed, (*prefix, 0)).random(m)):
-        raise NumericalError(
-            "bulk substream derivation disagrees with numpy's SeedSequence/PCG64"
-        )
+    prefixes = [check_spawn_key(prefix) for prefix in prefixes]
+    pools = (_pool_words(seed, prefix, n) for prefix in prefixes)
+    table = _pcg64_random([np.concatenate(words) for words in zip(*pools)], m)
+    table = table.reshape(len(prefixes), n, m)
+    for prefix, block in zip(prefixes, table):
+        if not np.array_equal(block[0], substream(seed, (*prefix, 0)).random(m)):
+            raise NumericalError(
+                "bulk substream derivation disagrees with numpy's SeedSequence/PCG64"
+            )
     return table
 
 

@@ -603,6 +603,13 @@ def _keep_rows(live: np.ndarray, used: int, *stacks: np.ndarray) -> list[np.ndar
     return [x[:m] for x in stacks]
 
 
+def _grown(x: np.ndarray, shape: tuple, alloc=np.empty) -> np.ndarray:
+    """An ``alloc``-ed array of ``shape`` whose leading block is ``x``."""
+    new = alloc(shape, dtype=x.dtype)
+    new[tuple(map(slice, x.shape))] = x
+    return new
+
+
 def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
     """``sigma_max`` of ``count`` operators ``X_j`` on ``C^n`` by
     Golub-Kahan-Lanczos bidiagonalization (see ``_spectral_norm``), NaN for
@@ -613,17 +620,19 @@ def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
     ``X_{idx[r]}^H U[r]``, ``idx`` listing the operators still iterating.
     Every operator starts from the same vector and takes the steps it
     would take alone; it leaves the batch when it is certified or has
-    failed.  The Krylov bases take ``16 n (2 _LANCZOS_MAX_STEPS + 1)``
-    bytes per operator, allocated once.
+    failed.  The Krylov bases take at most ``16 n (2 _LANCZOS_MAX_STEPS +
+    1)`` bytes per operator: they start with room for four steps, which
+    grows by half whenever the iteration needs more, so a batch certified
+    in a few steps holds bases of a few steps.
     """
     steps = _LANCZOS_MAX_STEPS
     sigma = np.full(count, np.nan)
     idx = np.arange(count)
-    v = np.empty((count, steps + 1, n), dtype=complex)
-    u = np.empty((count, steps, n), dtype=complex)
-    # B_k = b[:, :k+1, :k+1], upper bidiagonal: alpha_j on the diagonal and
-    # beta_j at [j, j+1], so beta_k sits just outside B_k.
-    b = np.zeros((count, steps, steps + 1))
+    # Room for four steps.  B_k = b[:, :k+1, :k+1], upper bidiagonal: alpha_j
+    # on the diagonal and beta_j at [j, j+1], so beta_k sits just outside B_k.
+    v = np.empty((count, 5, n), dtype=complex)
+    u = np.empty((count, 4, n), dtype=complex)
+    b = np.zeros((count, 4, 5))
     v[:, 0] = _start_vector(n)
     with np.errstate(all="ignore"):  # a non-finite operator goes to the SVD, silently
         w = apply(idx, v[:, 0])
@@ -636,6 +645,13 @@ def _golub_kahan_norms(apply, adjoint, count: int, n: int) -> np.ndarray:
         if kept < idx.size:
             idx, w, alpha = idx[live], w[live], alpha[live]
             v, u, b = _keep_rows(live, k + 1, v, u, b)
+        if k == u.shape[1]:
+            # Each stack is replaced in turn, so the old ones do not all
+            # stay alive beside the new ones.
+            room = min(k + k // 2, steps)
+            v = _grown(v, (kept, room + 1, n))
+            u = _grown(u, (kept, room, n))
+            b = _grown(b, (kept, room, room + 1), np.zeros)
         b[:, k, k] = alpha
         u[:, k] = w / alpha[:, None]
         w = adjoint(idx, u[:, k]) - alpha[:, None] * v[:, k]

@@ -12,32 +12,35 @@ their limits as the network size and connectivity grow.
 All randomness is counter-based: every draw is addressed by an explicit
 substream key, so results are independent of evaluation order.  Trials,
 ``sample_nodes`` and each Monte-Carlo batch map their unit doubles to
-coefficients by one rule (``_coefficients``).  A trial, like
-``sample_nodes``, derives all n node substreams in one vectorized pass,
-bit for bit numpy's ``SeedSequence``/``PCG64`` (``_streams.unit_table``).
-Trials run one after another; ``COHERELAB_THREADS`` does not apply to
-them.  A trial keeps its draws as padded coefficient tables, builds no
-``RationalTF``, and evaluates every node at many grid points in one
-pass.  Grid points are taken in chunks sized by a fixed memory
-budget, and a trial reports the first point that fails, in grid order,
-after warning about every ill-conditioned point before it.  On the
-complete family, whose ``lambda2`` is exactly ``w n``, a trial takes O(n)
-work per point and forms no n x n matrix: the closed-loop transfer matrix
-is a diagonal plus a rank-one term (Sherman-Morrison), normed by batched
-Golub-Kahan iterations.  On a ring family it solves and norms one dense
-point at a time.
+coefficients by one rule (``_coefficients``).  The experiment measures
+all trials of a network size together: it derives the node substreams of
+many trials in one vectorized pass, as ``sample_nodes`` derives those of
+one draw set, bit for bit numpy's ``SeedSequence``/``PCG64``
+(``_streams.unit_tables``).  ``COHERELAB_THREADS`` does not apply to the
+trials.  The draws are kept as padded coefficient tables, no
+``RationalTF`` is built, and each trial's nodes are evaluated at many
+grid points in one pass.  The (trial, grid point) records are taken in
+chunks sized by a fixed memory budget that run on across trials, and the
+experiment reports the first point that fails, in trial then grid order,
+after warning about every ill-conditioned point before it: the events of
+running the trials one after another.  On the complete family, whose
+``lambda2`` is exactly ``w n``, each point takes O(n) work and no n x n
+matrix is formed: the closed-loop transfer matrix is a diagonal plus a
+rank-one term (Sherman-Morrison), and a chunk, points of several trials
+among them, is normed by one batched Golub-Kahan run.  On a ring family
+each point is solved and normed densely in turn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Sequence, Union
+from itertools import count, repeat
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ._streams import check_int, substream, unit_table
+from ._streams import check_int, substream, unit_table, unit_tables
 from .errors import ValidationError
 from .coherence import (
     _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
@@ -223,8 +226,8 @@ def sample_nodes(
     result is deterministic given ``(model, n, seed)`` and the first ``m``
     draws agree for every ``n >= m`` (prefix stability).  Each draw takes
     its numerator slots, then its denominator slots, from its substream.
-    The substreams are derived in one bulk pass (``unit_table``), as a
-    concentration trial derives them.
+    The substreams are derived in one bulk pass (``unit_table``), as the
+    concentration experiment derives those of its trials.
     """
     n = check_int(n, "n")
     if n < 1:
@@ -469,38 +472,70 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
     return float(sup_den / model.num_specs[0].lo)
 
 
-# Bytes of the Golub-Kahan bases, 16 n (2 _LANCZOS_MAX_STEPS + 1) per
-# point, of one chunk of grid points (at least one point).  A trial
-# evaluates a chunk's nodes in one pass and, on the complete family, norms
-# the chunk as one batch.
-_KRYLOV_BYTES = 1 << 23
+# Bytes of the Golub-Kahan bases of one chunk of (trial, grid point)
+# records (at least one), counted at 16 n (2 _LANCZOS_MAX_STEPS + 1) a
+# point, as if every step ran.  A chunk runs on across the trials of a size
+# and, on the complete family, is normed as one batch: it holds many
+# trials' points at small n and one point from n = 810 on.  The bases grow
+# with the steps a batch takes, most often under ten, so a batch holds far
+# less than its budget.  On 20 trials of 8 points at n = 20, 50 and 100
+# (2-core x86 VM, BLAS on one thread) the trials took 0.095 s one after
+# another, 0.044 s under an 8 MiB budget and 0.053 s under 2 MiB; repeated
+# runs raised the peak RSS by 2.1 MiB under 8 MiB and by 0.4 MiB under
+# 2 MiB.  Under 2 MiB a chunk holds one point at n = 810 to 3,240, where 8
+# MiB holds several: an 8-point grid at n = 500 to 2,000 takes up to 1.9
+# times as long as under 8 MiB.
+_KRYLOV_BYTES = 1 << 21
+
+
+def _chunk_records(n: int) -> int:
+    """The records of one chunk at ``n`` nodes: ``_KRYLOV_BYTES`` of
+    Golub-Kahan bases, at least one record."""
+    return max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1)))
 
 
 def _draw_tables(
-    model: RandomTFModel, n: int, seed: int, spawn_prefix: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node tables of ``n`` draws, bit for bit those of ``_node_tables`` on
-    ``simplify`` of each ``sample_nodes(model, n, seed, spawn_prefix=...)`` draw.
+    model: RandomTFModel, n: int, seed: int, trials: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The node tables of each trial of size ``n``, in trial order: those of
+    trial ``t`` are bit for bit ``_node_tables`` on ``simplify`` of each
+    ``sample_nodes(model, n, seed, spawn_prefix=(n, t))`` draw.
 
-    The draws are ``sample_nodes``'s own: ``unit_table`` derives the ``n``
-    substreams ``spawn_prefix + (i,)`` in one vectorized pass and
-    ``_coefficients`` maps their doubles.  They are normalized as one table
-    by ``_normalized_table``, the rule ``sample_nodes`` builds its functions
-    by.  Only a node whose numerator is not a nonzero constant and whose
-    denominator is not constant can change under ``simplify``; only those
-    nodes, and those ``RationalTF`` rejects, are built and simplified one
-    by one.
+    The draws are ``sample_nodes``'s own: ``unit_tables`` derives the
+    substreams ``(n, t, i)`` of a chunk's count of trials
+    (``_chunk_records``) in one vectorized pass and ``_coefficients`` maps
+    their doubles.  A pass's work arrays, some 20 words a node, stay a
+    fraction of a chunk's bases, and each pass is dropped before the next
+    is drawn.  A pass is normalized as one table by ``_normalized_table``,
+    the rule ``sample_nodes`` builds its functions by.  Only a node whose
+    numerator is not a nonzero constant and whose denominator is not
+    constant can change under ``simplify``; only those nodes, and those
+    ``RationalTF`` rejects, are built and simplified one by one, when
+    their trial is taken, so a failing draw raises only then.
     """
-    raw = _coefficients(model, unit_table(seed, spawn_prefix, n, _random_slots(model)))
-    tables, degree, rejected = _normalized_table(raw)
-    for i in np.flatnonzero(rejected | ((degree[:, 0] != 0) & (degree[:, 1] >= 1))):
-        g = simplify(RationalTF(*raw[i]))
-        tables[i] = 0.0
-        tables[i, 0, : g.num.coeffs.size] = g.num.coeffs
-        tables[i, 1, : g.den.coeffs.size] = g.den.coeffs
-        degree[i] = g.num.coeffs.size - 1, g.den.coeffs.size - 1
-    used = max(int(degree.max()), 0) + 1
-    return tables[:, 0, :used], tables[:, 1, :used]
+    slots = _random_slots(model)
+    per_pass = _chunk_records(n)
+    for first in range(0, trials, per_pass):
+        drawn = min(per_pass, trials - first)
+        unit = unit_tables(seed, [(n, t) for t in range(first, first + drawn)], n, slots)
+        raw = _coefficients(model, unit.reshape(drawn * n, slots))
+        tables, degree, rejected = _normalized_table(raw)
+        rebuilt = np.flatnonzero(rejected | ((degree[:, 0] != 0) & (degree[:, 1] >= 1)))
+        # Only the rows rebuilt below stay alive while the trials are measured.
+        del unit
+        raw = raw[rebuilt]
+        ends = np.searchsorted(rebuilt, n * np.arange(drawn + 1))
+        for k in range(drawn):
+            for j in range(ends[k], ends[k + 1]):
+                i = rebuilt[j]
+                g = simplify(RationalTF(*raw[j]))
+                tables[i] = 0.0
+                tables[i, 0, : g.num.coeffs.size] = g.num.coeffs
+                tables[i, 1, : g.den.coeffs.size] = g.den.coeffs
+                degree[i] = g.num.coeffs.size - 1, g.den.coeffs.size - 1
+            rows = slice(k * n, (k + 1) * n)
+            used = max(int(degree[rows].max()), 0) + 1
+            yield tables[rows, 0, :used], tables[rows, 1, :used]
 
 
 def _complete_incoherence(
@@ -585,7 +620,7 @@ def _complete_incoherence(
     return norms, cond
 
 
-def _trial_measurements(
+def _size_measurements(
     model: RandomTFModel,
     n: int,
     graph: CompleteFamily | LaplacianMatrix,
@@ -593,43 +628,63 @@ def _trial_measurements(
     f_vals: list,
     ghat_vals: np.ndarray,
     seed: int,
-    trial: int,
-) -> tuple[float, float, float]:
-    """One trial: (sup |gbar-ghat|, sup |T - ghat/n 11^T|, max |1/g_i|).
+    trials: int,
+) -> tuple[list, list, list]:
+    """Every trial of size ``n``: the lists, one entry per trial, of
+    ``sup |gbar - ghat|``, ``sup |T - ghat/n 11^T|`` and ``max |1/g_i|``.
 
     ``f_vals`` holds the coupling filter's value at each grid point.  The
-    grid is taken in chunks of ``_KRYLOV_BYTES`` of Golub-Kahan bases (at
-    least one point), each chunk's nodes evaluated in one pass.  The points
-    are taken in grid order: every ill-conditioned point warns, and the
-    first point that fails raises, so a trial reports the same events
-    whatever its chunks hold.  On a Laplacian each point is solved by
-    ``_transfer`` and normed by ``_spectral_norm`` in turn.  On a
-    ``CompleteFamily`` a chunk is normed as one batch by
-    ``_complete_incoherence``, which keeps the same order.
+    records are taken trial by trial and in grid order within a trial, in
+    chunks of ``_KRYLOV_BYTES`` of Golub-Kahan bases (at least one record)
+    that run on across trials; a trial's nodes are evaluated at up to a
+    chunk of points in one pass.  Every ill-conditioned point warns and
+    the first point that fails raises, in that order, so the events are
+    those of one trial after another whatever the chunks hold; a trial
+    whose draw fails raises after the points of the trials before it.  On
+    a Laplacian each point is solved by ``_transfer`` and normed by
+    ``_spectral_norm`` in turn.  On a ``CompleteFamily`` a chunk is normed
+    as one batch by ``_complete_incoherence``, which keeps the same order.
     """
-    num, den = _draw_tables(model, n, seed, (n, trial))
-    span = max(1, _KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1)))
-    sup_gbar = 0.0
-    sup_inc = 0.0
-    max_inv = 0.0
-    for start in range(0, len(points), span):
-        chunk = slice(start, start + span)
-        pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
-        ghats = ghat_vals[chunk]
+    span = _chunk_records(n)
+    sup_gbar, sup_inc, max_inv = [0.0] * trials, [0.0] * trials, [0.0] * trials
+
+    def measure(chunk):
+        if not chunk:
+            return
+        owners, index, pts = zip(*chunk)
+        ghats = ghat_vals[list(index)]
         if isinstance(graph, CompleteFamily):
             norms = _complete_incoherence(pts, ghats, graph)[0]
         else:
             norms = np.empty(len(pts))
             for k, (pt, shift) in enumerate(zip(pts, ghats / n)):
-                t, c = _transfer(pt, graph.matrix)
-                _warn_ill_conditioned(pt, c)
-                t -= shift
-                norms[k] = _spectral_norm(t)
-        for pt, ghat in zip(pts, ghats):
-            max_inv = max(max_inv, pt.inv_max)
+                x, cond = _transfer(pt, graph.matrix)
+                _warn_ill_conditioned(pt, cond)
+                x -= shift
+                norms[k] = _spectral_norm(x)
+        for t, pt, ghat, norm in zip(owners, pts, ghats, norms):
             gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
-            sup_gbar = max(sup_gbar, gbar_dev)
-        sup_inc = max(sup_inc, float(norms.max()))
+            sup_gbar[t] = max(sup_gbar[t], gbar_dev)
+            sup_inc[t] = max(sup_inc[t], float(norm))
+            max_inv[t] = max(max_inv[t], pt.inv_max)
+
+    tables = _draw_tables(model, n, seed, trials)
+    chunk = []
+    for t in range(trials):
+        try:
+            num, den = next(tables)
+        except Exception:
+            measure(chunk)  # the points of the trials before it come first
+            raise
+        for start in range(0, len(points), span):
+            grid = slice(start, start + span)
+            chunk += zip(repeat(t), count(start),
+                         _point_values(num, den, points[grid], f_vals[grid], DEFAULT_TOL_ZERO))
+            while len(chunk) >= span:
+                measure(chunk[:span])
+                del chunk[:span]
+        del num, den  # freed before the next trial is drawn
+    measure(chunk)
     return sup_gbar, sup_inc, max_inv
 
 
@@ -660,8 +715,11 @@ def concentration_experiment(
     build their Laplacian once per size.
 
     Trials are independent; each derives its random substream from
-    ``(seed, n, trial)``, so the table is reproducible.  Static unit
-    coupling is the default.
+    ``(seed, n, trial)``, so the table is reproducible.  All trials of a
+    size are measured together (``_size_measurements``): their substreams
+    in one pass and, on a ``CompleteFamily``, their points normed in
+    batches that span trials, with the values, warnings and errors of
+    running them one after another.  Static unit coupling is the default.
     """
     sizes = [check_int(n, "network size") for n in sizes]
     if not sizes:
@@ -703,13 +761,10 @@ def concentration_experiment(
         else:
             graph = graph_family.build(n)
             lam2 = algebraic_connectivity(graph)
-        results = [
-            _trial_measurements(model, n, graph, points, f_vals, ghat_vals, root, t)
-            for t in range(trials)
-        ]
-        gbar_devs = [r[0] for r in results]
-        inc_sups = [r[1] for r in results]
-        observed_max_inv = max(observed_max_inv, *(r[2] for r in results))
+        gbar_devs, inc_sups, max_invs = _size_measurements(
+            model, n, graph, points, f_vals, ghat_vals, root, trials
+        )
+        observed_max_inv = max(observed_max_inv, *max_invs)
         rows.append(
             ConcentrationRow(
                 n=n,

@@ -42,7 +42,7 @@ from coherelab.concentration import (
     _KRYLOV_BYTES,
     _complete_incoherence,
     _draw_tables,
-    _trial_measurements,
+    _size_measurements,
 )
 from coherelab import concentration
 from coherelab.coherence import (
@@ -53,12 +53,13 @@ from coherelab.coherence import (
     _point_values,
     _spectral_norm,
     _transfer,
+    _warn_ill_conditioned,
 )
 from coherelab import _streams
 from coherelab.errors import IllConditionedWarning, NumericalError
 from coherelab.network import NonPositiveWeight
 from coherelab.rational import (
-    AT_INFINITY, DEFAULT_TOL_ZERO, ExcessiveDegree, IndeterminateAt, simplify,
+    AT_INFINITY, DEFAULT_TOL_ZERO, ExcessiveDegree, IndeterminateAt, is_at_infinity, simplify,
 )
 
 UNIT_COUPLING = RationalTF([1.0], [1.0])
@@ -225,6 +226,30 @@ class TestUnitTable:
         with pytest.raises(NumericalError, match="SeedSequence"):
             _streams.unit_table(1, (5, 0), 5, 1)
 
+    # Trial indices of one uint32 word and of two (2**32 and beyond), whose
+    # prefixes run the pool mixing over more entropy words.
+    PREFIXES = [(7, 0), (7, 1), (7, 2**32 - 1), (7, 2**32), (7, 2**40 + 3), (7, 5)]
+
+    @pytest.mark.parametrize("seed, n, m", [(3, 7, 2), (2**63 + 5, 1, 3), (0, 40, 1), (9, 4, 0)])
+    def test_one_pass_blocks_equal_each_prefix_alone(self, seed, n, m):
+        table = _streams.unit_tables(seed, self.PREFIXES, n, m)
+        assert table.shape == (len(self.PREFIXES), n, m)
+        for prefix, block in zip(self.PREFIXES, table):
+            assert block.tobytes() == _streams.unit_table(seed, prefix, n, m).tobytes()
+
+    @pytest.mark.parametrize("bad", range(len(PREFIXES)))
+    def test_a_row_zero_that_numpy_does_not_give_raises_in_any_prefix(self, monkeypatch, bad):
+        substream = _streams.substream
+
+        def other_stream_for_one_prefix(seed, key):
+            if key == (*self.PREFIXES[bad], 0):
+                return substream(seed + 1, key)
+            return substream(seed, key)
+
+        monkeypatch.setattr(_streams, "substream", other_stream_for_one_prefix)
+        with pytest.raises(NumericalError, match="SeedSequence"):
+            _streams.unit_tables(3, self.PREFIXES, 5, 2)
+
 
 _SLOT = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-14]).map(Constant),
@@ -241,17 +266,25 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-def _tables_outcomes(model, n, seed, prefix):
-    drawn = _outcome(lambda: _draw_tables(model, n, seed, prefix))
-    sampled = _outcome(lambda: _node_tables(
-        [simplify(g) for g in sample_nodes(model, n, seed=seed, spawn_prefix=prefix)]
-    ))
+def _sampled_tables(model, n, seed, trial):
+    """Trial ``trial``'s node tables from its simplified ``sample_nodes`` draws."""
+    return _node_tables(
+        [simplify(g) for g in sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial))]
+    )
+
+
+def _tables_outcomes(model, n, seed, trials):
+    drawn = _outcome(lambda: [table for pair in _draw_tables(model, n, seed, trials)
+                              for table in pair])
+    sampled = _outcome(lambda: [table for trial in range(trials)
+                                for table in _sampled_tables(model, n, seed, trial)])
     return drawn, sampled
 
 
 class TestTrialTables:
-    """A trial draws straight into coefficient tables; they must equal the
-    tables of its simplified ``sample_nodes`` draws bit for bit."""
+    """The trials of a size draw straight into coefficient tables; each
+    trial's must equal the tables of its simplified ``sample_nodes`` draws
+    bit for bit, and the first failing draw must raise as sampling does."""
 
     @given(
         num=st.lists(_SLOT, min_size=1, max_size=4),
@@ -274,13 +307,31 @@ class TestTrialTables:
             num = [*num, Constant(1.0)]
         if all(isinstance(spec, Constant) and spec.value == 0.0 for spec in den):
             den = [*den, Constant(1.0)]
-        drawn, sampled = _tables_outcomes(RandomTFModel(tuple(num), tuple(den)), n, seed, (n, 2))
+        drawn, sampled = _tables_outcomes(RandomTFModel(tuple(num), tuple(den)), n, seed, 3)
         assert drawn == sampled
 
     def test_nodes_that_rational_tf_rejects_raise_as_sampling_does(self):
         model = RandomTFModel((Constant(1.0),) * 65 + (Uniform(1.0, 2.0),), (Constant(1.0),))
-        drawn, sampled = _tables_outcomes(model, 2, 0, ())
+        drawn, sampled = _tables_outcomes(model, 2, 0, 1)
         assert drawn == sampled == (ExcessiveDegree, str(sampled[1]))
+
+    @pytest.mark.parametrize("budget", [1, _KRYLOV_BYTES])
+    def test_a_draw_raises_only_when_its_trial_is_taken(self, monkeypatch, budget):
+        # g = 1e305/(u s), u ~ U(0, 1): the normalized gain 1e305/u overflows,
+        # and RationalTF rejects the node, where u < 5.6e-4; of the 300 draws
+        # of each trial here, trial 3 holds the first such node.
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        model = RandomTFModel((Constant(1e305),), (Constant(0.0), Uniform(0.0, 1.0)))
+        n, seed = 300, 21
+        tables = _draw_tables(model, n, seed, 5)
+        for trial in range(3):
+            got = next(tables)
+            want = _sampled_tables(model, n, seed, trial)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        with pytest.raises(ValidationError, match="finite"):
+            next(tables)
+        with pytest.raises(ValidationError, match="finite"):
+            _sampled_tables(model, n, seed, 3)
 
     def test_trial_builds_no_transfer_function_and_solves_each_point_once(self, monkeypatch):
         calls = {"RationalTF": 0, "inv": 0, "solve": 0, "svd": 0}
@@ -300,8 +351,8 @@ class TestTrialTables:
             monkeypatch.setattr(np.linalg, name, counting)
         n = 60
         points = FrequencyGrid.linear(0.5, 0.1, 2.0, 12).points
-        _trial_measurements(gain_over_integrator(), n, complete_graph(n), points,
-                            [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
+        _size_measurements(gain_over_integrator(), n, complete_graph(n), points,
+                           [1.0 + 0j] * len(points), 2.0 / points, 3, 1)
         assert calls == {"RationalTF": 0, "inv": len(points), "solve": 0, "svd": len(points)}
 
     def test_points_with_vanished_gains_share_a_chunk_with_stacked_points(self):
@@ -313,7 +364,7 @@ class TestTrialTables:
         lap = complete_graph(n)
         points = np.array([0.5 + 1.0j, 1.0 + 0.0j, 2.0 + 0.5j])
         ghats = np.array([0.3 + 0.1j, 0.2, 0.9 - 0.2j])
-        sup_gbar, sup_inc, max_inv = _trial_measurements(
+        sup_gbar, sup_inc, max_inv = _one_trial(
             model, n, lap, points, [1.0 + 0j] * 3, ghats, seed, trial
         )
         net = NetworkModel(lap, sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial)),
@@ -340,7 +391,7 @@ class TestTrialTables:
         nodes = sample_nodes(model, n, seed=seed, spawn_prefix=(n, 0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _trial_measurements(model, n, lap, points, f_vals, np.ones(3), seed, 0)
+            _size_measurements(model, n, lap, points, f_vals, np.ones(3), seed, 1)
             for s, f in zip(points, f_vals):
                 transfer_matrix(NetworkModel(lap, nodes, RationalTF([f.real], [1.0])), s)
         messages = [str(w.message) for w in caught if w.category is IllConditionedWarning]
@@ -357,8 +408,8 @@ class TestTrialTables:
         if pole_first:
             points, f_vals = points[::-1], f_vals[::-1]
         with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
-            _trial_measurements(gain_over_integrator(), 2, complete_graph(2), points,
-                                f_vals, np.ones(3), 3, 0)
+            _size_measurements(gain_over_integrator(), 2, complete_graph(2), points,
+                               f_vals, np.ones(3), 3, 1)
         assert type(caught.value) is (PoleOfCoupling if pole_first else SingularSystem)
         assert caught.value.s == (0.5 + 2.0j if pole_first else 0.0)
 
@@ -370,11 +421,11 @@ class TestTrialTables:
         points = FrequencyGrid.linear(0.5, 0.1, 5.0, 40).points
         matrix = 16 * n * n
         args = (gain_over_integrator(), n, complete_graph(n), points,
-                [1.0 + 0j] * len(points), 2.0 / points, 3, 0)
-        _trial_measurements(*args)  # one-off allocations stay out of the peak
+                [1.0 + 0j] * len(points), 2.0 / points, 3, 1)
+        _size_measurements(*args)  # one-off allocations stay out of the peak
         tracemalloc.start()
         try:
-            _trial_measurements(*args)
+            _size_measurements(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -491,8 +542,80 @@ def _harmonic_mean_of_draws(s, num_coeffs, den_coeffs):
     return 1.0 / mean if mean else complex(math.inf, 0.0)
 
 
+def _draw_fixed(monkeypatch, draw):
+    """Make every size's trial ``t`` take the tables ``draw(t)``, drawn when
+    the trial is taken."""
+    monkeypatch.setattr(concentration, "_draw_tables",
+                        lambda model, n, seed, trials: map(draw, range(trials)))
+
+
+def _one_trial(model, n, graph, points, f_vals, ghats, seed, trial):
+    """Trial ``trial``'s (sup |gbar - ghat|, sup |T - ghat/n 11^T|, max |1/g_i|),
+    measured with the trials before it."""
+    columns = _size_measurements(model, n, graph, points, f_vals, ghats, seed, trial + 1)
+    return tuple(column[trial] for column in columns)
+
+
+def _trial_by_trial(model, n, graph, points, f_vals, ghat_vals, seed, trials, draw=None):
+    """The oracle of ``_size_measurements``: the loop it replaced, one trial
+    after another, each drawing its own tables (``draw(t)``, by default its
+    simplified ``sample_nodes`` draws) and taking its own chunks of grid
+    points, warning and failing as it goes."""
+    span = max(1, concentration._KRYLOV_BYTES // (16 * n * (2 * _LANCZOS_MAX_STEPS + 1)))
+    columns = [], [], []
+    for trial in range(trials):
+        num, den = draw(trial) if draw else _sampled_tables(model, n, seed, trial)
+        sup_gbar = sup_inc = max_inv = 0.0
+        for start in range(0, len(points), span):
+            chunk = slice(start, start + span)
+            pts = _point_values(num, den, points[chunk], f_vals[chunk], DEFAULT_TOL_ZERO)
+            ghats = ghat_vals[chunk]
+            if isinstance(graph, CompleteFamily):
+                norms = _complete_incoherence(pts, ghats, graph)[0]
+            else:
+                norms = np.empty(len(pts))
+                for k, (pt, shift) in enumerate(zip(pts, ghats / n)):
+                    t, c = _transfer(pt, graph.matrix)
+                    _warn_ill_conditioned(pt, c)
+                    t -= shift
+                    norms[k] = _spectral_norm(t)
+            for pt, ghat in zip(pts, ghats):
+                max_inv = max(max_inv, pt.inv_max)
+                gbar_dev = math.inf if is_at_infinity(pt.gbar) else abs(pt.gbar - ghat)
+                sup_gbar = max(sup_gbar, gbar_dev)
+            sup_inc = max(sup_inc, float(norms.max()))
+        for column, value in zip(columns, (sup_gbar, sup_inc, max_inv)):
+            column.append(value)
+    return columns
+
+
+def _events(run):
+    """The bytes of what ``run()`` returns or the error it raises, its
+    ``IllConditionedWarning``s in order with the file each points at, and
+    the messages of its other warnings (numpy's, given once per operation,
+    so once per batch of points)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = np.array(run()).tobytes()
+        except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
+            outcome = type(exc), str(exc)
+    ill = [(str(w.message), w.filename) for w in caught if w.category is IllConditionedWarning]
+    other = sorted({str(w.message) for w in caught if w.category is not IllConditionedWarning})
+    return outcome, ill, other
+
+
+def _matches_trial_by_trial(model, n, graph, points, f_vals, ghats, seed, trials, draw=None):
+    """``_size_measurements``'s events, asserted equal to the oracle's."""
+    got = _events(lambda: _size_measurements(model, n, graph, points, f_vals, ghats, seed, trials))
+    want = _events(lambda: _trial_by_trial(model, n, graph, points, f_vals, ghats, seed, trials,
+                                           draw))
+    assert got == want
+    return got
+
+
 def _records(model, n, points, f_vals, seed=5, trial=0):
-    num, den = _draw_tables(model, n, seed, (n, trial))
+    *_, (num, den) = _draw_tables(model, n, seed, trial + 1)
     return _point_values(num, den, points, f_vals, DEFAULT_TOL_ZERO)
 
 
@@ -514,7 +637,7 @@ def _grid_order_events(monkeypatch, n):
     gain = 1.5e14
     tables = (np.array([[-gain, gain]] + [[gain, 0.0]] * (n - 1)),
               np.array([[-1.0, 1.0]] + [[1.0, 0.0]] * (n - 1)))
-    monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
+    _draw_fixed(monkeypatch, lambda trial: tables)
     points = np.array([0.5 + 1.0j, 0.5 + 2.0j, 1.0 + 0.0j])
     f_vals = [1.0 + 0j, AT_INFINITY, 1.0 + 0j]
 
@@ -522,8 +645,8 @@ def _grid_order_events(monkeypatch, n):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(PoleOfCoupling) as raised:
-                _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
-                                    np.ones(3), 3, 0)
+                _size_measurements(gain_over_integrator(), n, graph, points, f_vals,
+                                   np.ones(3), 3, 1)
         return raised.value.s, [(str(w.message).split(" has ")[0], w.filename)
                                 for w in caught if w.category is IllConditionedWarning]
 
@@ -560,8 +683,8 @@ class TestCompleteStructure:
         np.testing.assert_allclose(norms, want, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(cond, want_cond, rtol=1e-9, atol=0.0)
 
-        structured = _trial_measurements(self.BIPROPER, n, family, points, f_vals, ghats, 5, 1)
-        dense = _trial_measurements(self.BIPROPER, n, family.build(n), points, f_vals, ghats, 5, 1)
+        structured = _size_measurements(self.BIPROPER, n, family, points, f_vals, ghats, 5, 2)
+        dense = _size_measurements(self.BIPROPER, n, family.build(n), points, f_vals, ghats, 5, 2)
         assert structured[0::2] == dense[0::2]
         assert structured[1] == pytest.approx(dense[1], rel=1e-11, abs=0.0)
 
@@ -595,7 +718,7 @@ class TestCompleteStructure:
         def warned(graph):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                _trial_measurements(model, n, graph, points, f_vals, np.ones(3), seed, 0)
+                _size_measurements(model, n, graph, points, f_vals, np.ones(3), seed, 1)
             return [(str(w.message).split(" has ")[0], w.filename)
                     for w in caught if w.category is IllConditionedWarning]
 
@@ -624,8 +747,8 @@ class TestCompleteStructure:
 
         def failure(graph):
             with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
-                _trial_measurements(gain_over_integrator(), n, graph, points, f_vals,
-                                    np.ones(3), 3, 0)
+                _size_measurements(gain_over_integrator(), n, graph, points, f_vals,
+                                   np.ones(3), 3, 1)
             return type(caught.value), caught.value.s
 
         assert failure(CompleteFamily()) == failure(complete_graph(n)) == (
@@ -635,12 +758,12 @@ class TestCompleteStructure:
     def test_indeterminate_nodes_surface_at_the_same_point_as_on_the_dense_path(self, monkeypatch):
         # (s - 1)/(s - 1), left unsimplified, is indeterminate at s = 1.
         tables = np.array([[-1.0, 1.0], [2.0, 0.0], [3.0, 0.0]]), np.array([[-1.0, 1.0]] * 3)
-        monkeypatch.setattr(concentration, "_draw_tables", lambda *args: tables)
+        _draw_fixed(monkeypatch, lambda trial: tables)
         points = np.array([0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j])
         for graph in (CompleteFamily(), complete_graph(3)):
             with pytest.raises(IndeterminateAt) as caught:
-                _trial_measurements(gain_over_integrator(), 3, graph, points, [1.0 + 0j] * 3,
-                                    np.ones(3), 3, 0)
+                _size_measurements(gain_over_integrator(), 3, graph, points, [1.0 + 0j] * 3,
+                                   np.ones(3), 3, 1)
             assert caught.value.s == 1.0
 
     def test_points_fail_and_warn_in_the_dense_order_where_chunks_hold_one_point(
@@ -682,24 +805,25 @@ class TestCompleteStructure:
         f_vals = [1.0 + 0j] * len(points)
         for n, graph in ((20, CompleteFamily()), (20, RingFamily().build(20)),
                          (130, RingFamily().build(130))):
-            whole = _trial_measurements(model, n, graph, points, f_vals, ghats, 1, 0)
+            whole = _size_measurements(model, n, graph, points, f_vals, ghats, 1, 3)
             with monkeypatch.context() as patch:
                 patch.setattr(concentration, "_KRYLOV_BYTES", 1)
-                single = _trial_measurements(model, n, graph, points, f_vals, ghats, 1, 0)
+                single = _size_measurements(model, n, graph, points, f_vals, ghats, 1, 3)
             assert np.array(single).tobytes() == np.array(whole).tobytes()
 
     def test_chunks_keep_memory_bounded_on_the_default_grid(self):
-        # 50 points (the CLI default) at n = 10^4: one chunk of every point
-        # would hold 50 pairs of Golub-Kahan bases, over 160 MiB; a chunk
-        # holds _KRYLOV_BYTES of bases, or one point's where that is more.
+        # 50 points (the CLI default) at n = 10^4, three trials: one chunk of
+        # every point would hold 150 pairs of Golub-Kahan bases, over 480
+        # MiB; a chunk, which runs on across trials, holds _KRYLOV_BYTES of
+        # bases, or one point's where that is more.
         n = 10_000
         bases = max(_KRYLOV_BYTES, 16 * n * (2 * _LANCZOS_MAX_STEPS + 1))
         points = FrequencyGrid.linear(0.5, 0.1, 2.0, 50).points
         args = (gain_over_integrator(), n, CompleteFamily(), points, [1.0 + 0j] * len(points),
-                expected_dynamics(gain_over_integrator()).evaluate_many(points), 1, 0)
+                expected_dynamics(gain_over_integrator()).evaluate_many(points), 1, 3)
         tracemalloc.start()
         try:
-            _trial_measurements(*args)
+            _size_measurements(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -769,6 +893,155 @@ class TestCompleteStructure:
         assert row.lambda2 == 2.0 * n
         assert 0.0 < row.sup_incoherence_mean <= row.sup_incoherence_max < 0.1
         assert peak < 16 * n * n / 100
+
+
+class TestSizeMeasurements:
+    """All trials of a size are measured in one pass, their records taken
+    in chunks that run on across trials; the trial-by-trial loop is the
+    oracle, bit for bit and event for event."""
+
+    POINTS = np.array([0.5 + 1.0j, 0.5 + 2.0j, 1.0 + 0.5j])
+    BUDGETS = [1, 1 << 12, _KRYLOV_BYTES]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_complete_family_with_vanished_gains_and_a_zero_pivot(self, monkeypatch, budget):
+        # Trial 1 has a node with 1/g = -f w n (its diagonal is exactly zero
+        # at every point, so the kernel solves through _transfer); in trial
+        # 2 one gain, in trial 3 every gain, vanishes at s = 1.
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        builds = []
+        build = CompleteFamily.build
+        monkeypatch.setattr(CompleteFamily, "build",
+                            lambda self, n: builds.append(n) or build(self, n))
+        n, family = 4, CompleteFamily(0.5)
+        k = np.random.default_rng(3).uniform(1.0, 5.0, size=(4, n))
+        special = {1: ([-0.5, 0.0], [1.0, 0.0]), 2: ([-1.0, 1.0], [2.0, 1.0])}
+
+        def draw(trial):
+            if trial == 3:
+                return np.array([[-1.0, 1.0]] * n), np.array([[a, 1.0] for a in k[3]])
+            num, den = np.array([[kk, 0.0] for kk in k[trial]]), np.array([[0.0, 1.0]] * n)
+            if trial in special:
+                num[0], den[0] = special[trial]
+            return num, den
+
+        _draw_fixed(monkeypatch, draw)
+        points = np.array([0.5 + 1.0j, 1.0 + 0.0j, 0.5 + 2.0j])
+        ghats = np.array([0.4 - 0.2j, 0.3, 0.1j])
+        outcome, ill, _ = _matches_trial_by_trial(
+            gain_over_integrator(), n, family, points, [1.0 + 0j] * 3, ghats, 3, 4, draw
+        )
+        sup_gbar, sup_inc, max_inv = np.frombuffer(outcome).reshape(3, 4)
+        assert list(max_inv[2:]) == [math.inf, math.inf]
+        assert np.all(sup_inc > 0) and ill == []
+        assert builds and set(builds) == {n}
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("n", [20, 130])
+    def test_ring_family(self, monkeypatch, budget, n):
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        model = gain_over_integrator(seed=1)
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 8).points
+        ghats = expected_dynamics(model).evaluate_many(points)
+        _matches_trial_by_trial(model, n, RingFamily().build(n), points, [1.0 + 0j] * 8, ghats,
+                                1, 3)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_complete_family_on_the_bench_population(self, monkeypatch, budget, n):
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        model = gain_over_integrator(seed=1)
+        points = FrequencyGrid.linear(0.5, 0.1, 2.0, 8).points
+        ghats = expected_dynamics(model).evaluate_many(points)
+        _matches_trial_by_trial(model, n, CompleteFamily(), points, [1.0 + 0j] * 8, ghats, 1, 20)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_trials_whose_tables_differ_in_width(self, monkeypatch, budget):
+        # g = 1 + u s with u ~ U(0, 2e-12): the s term is trimmed where
+        # u <= 1e-12, so a trial's table has one column where both of its
+        # nodes lose it and two otherwise.
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        model = RandomTFModel((Constant(1.0), Uniform(0.0, 2e-12)), (Constant(1.0),))
+        n, seed, trials = 2, 0, 6
+        widths = [num.shape[1] for num, _ in _draw_tables(model, n, seed, trials)]
+        assert widths == [2, 2, 2, 1, 1, 2]
+        _matches_trial_by_trial(model, n, CompleteFamily(), self.POINTS, [1.0 + 0j] * 3,
+                                np.ones(3), seed, trials)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("scenario, warned, raised", [
+        # Trial 2 fails at its second point; the draw of trial 3 is rejected.
+        ("warn0 warn2 singular1 rejected", [0, 2], (SingularSystem, 1)),
+        # The rejected draw of trial 2 comes after trial 1's warnings and
+        # before trial 3's failure.
+        ("warn0 warn2 rejected singular0", [0, 2], (ExcessiveDegree, None)),
+        # The first failure in (trial, point) order raises, not the first in
+        # grid order.
+        ("warn2 singular1 singular0 quiet", [2], (SingularSystem, 1)),
+        ("quiet warn1 warn0 warn2", [1, 0, 2], None),
+    ])
+    def test_events_come_in_trial_then_grid_order(self, monkeypatch, budget, complete,
+                                                  scenario, warned, raised):
+        # Each trial's nodes are gain/(s - pole): a pole 1e-10 from a grid
+        # point with gain 1e4 leaves 1/g near 1e-14 there (ill-conditioned,
+        # one warning), a pole on a grid point makes A = f L (singular), and
+        # a pole at -1 with unit gain is quiet.  With f = 0.3 + 0.4j the
+        # dense LU of f L at n = 5 meets an exactly zero pivot, as on the
+        # complete family; with f = 1 it does not, and the point only warns.
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
+        kinds = {"quiet": (-1.0, 1.0), "rejected": None}
+        for p, s in enumerate(self.POINTS):
+            kinds[f"warn{p}"], kinds[f"singular{p}"] = (s - 1e-10, 1e4), (s, 1.0)
+        plan = [kinds[word] for word in scenario.split()]
+        n = 5
+
+        def draw(trial):
+            if plan[trial] is None:
+                RationalTF([1.0] * 66, [1.0])  # degree 65: ExcessiveDegree
+            pole, gain = plan[trial]
+            return np.array([[gain, 0.0]] * n), np.array([[-pole, 1.0]] * n)
+
+        _draw_fixed(monkeypatch, draw)
+        graph = CompleteFamily() if complete else complete_graph(n)
+        outcome, ill, _ = _matches_trial_by_trial(
+            gain_over_integrator(), n, graph, self.POINTS, [0.3 + 0.4j] * 3, np.ones(3), 3,
+            len(plan), draw
+        )
+        assert [(message.split(" has ")[0], filename) for message, filename in ill] == [
+            (f"transfer-matrix solve at s = {self.POINTS[p]}", __file__) for p in warned
+        ]
+        if raised is None:
+            assert isinstance(outcome, bytes)
+        else:
+            error, p = raised
+            assert outcome[0] is error
+            if p is not None:
+                assert outcome[1] == str(error(self.POINTS[p]))
+
+    @given(
+        num=st.lists(_SLOT, min_size=1, max_size=3),
+        den=st.lists(_SLOT, min_size=1, max_size=3),
+        n=st.integers(3, 30),
+        trials=st.integers(1, 5),
+        points=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        budget=st.one_of(st.just(1), st.integers(1, 1 << 21)),
+        ring=st.booleans(),
+        weight=st.floats(0.1, 3.0),
+    )
+    @settings(deadline=None)
+    def test_random_populations_match_trial_by_trial(self, num, den, n, trials, points, seed,
+                                                     budget, ring, weight):
+        model = _model_of(num, den, seed)
+        graph = RingFamily(0.3, weight).build(n) if ring else CompleteFamily(weight)
+        grid = FrequencyGrid.linear(0.5, 0.1, 2.0, points).points
+        coupling = RationalTF([3.0], [1.0, 1.0])
+        f_vals = [tf_eval(coupling, s) for s in grid]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(concentration, "_KRYLOV_BYTES", budget)
+            _matches_trial_by_trial(model, n, graph, grid, f_vals, 0.8 / (1.0 + 0.1 * grid),
+                                    seed, trials)
 
 
 class TestExpectedDynamics:
@@ -1009,7 +1282,7 @@ class TestConcentrationExperiment:
         points = self.GRID.points
         ghats = 0.8 / (1.0 + 0.1 * points)
         f_vals = [tf_eval(coupling, s) for s in points]
-        sup_gbar, sup_inc, max_inv = _trial_measurements(
+        sup_gbar, sup_inc, max_inv = _one_trial(
             model, n, lap, points, f_vals, ghats, seed, trial
         )
         net = NetworkModel(lap, sample_nodes(model, n, seed=seed, spawn_prefix=(n, trial)), coupling)

@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import coherelab.coherence as coherence
 from coherelab.coherence import (
+    _LANCZOS_MAX_STEPS,
     _LANCZOS_MIN_N,
     FrequencyGrid,
+    _golub_kahan_norms,
     _orthogonalize,
     _spectral_norm,
     report_csv_row,
@@ -208,6 +211,73 @@ class TestFallback:
             _spectral_norm(t)
         t[3, 5] = np.inf
         assert np.isnan(svd_value(t)) and np.isnan(_spectral_norm(t))
+
+
+def diagonal_norms(d: np.ndarray) -> np.ndarray:
+    """``_golub_kahan_norms`` of the diagonal operators ``diag(d[j])``, one
+    batch."""
+
+    def apply(idx, v):
+        return d[idx] * v
+
+    def adjoint(idx, u):
+        return d[idx].conj() * u
+
+    return _golub_kahan_norms(apply, adjoint, d.shape[0], d.shape[1])
+
+
+def spread_diagonals(rng: np.random.Generator, profiles: list) -> np.ndarray:
+    """One row per profile: its values in random order, each turned by a
+    random phase, so the top singular value is the profile's largest."""
+    return np.array([rng.permutation(p) * np.exp(1j * rng.uniform(-0.1, 0.1, p.size))
+                     for p in profiles])
+
+
+class TestBatch:
+    """A batch's Krylov bases start with room for a few steps and grow as
+    its members need more."""
+
+    def test_members_take_the_steps_they_would_take_alone(self, monkeypatch):
+        n = 50
+        ramp = np.linspace(0.0, 1.0, n)
+        profiles = [
+            np.concatenate([[2.0], np.linspace(1.0, 0.1, n - 1)]),  # certified early
+            1.0 - 0.3 * np.sqrt(ramp),  # certified after some 25 steps
+            1.0 - 0.3 * ramp**2,  # a tight top cluster: no certificate
+        ]
+        d = spread_diagonals(np.random.default_rng(21), profiles * 3)
+        steps = []
+        certificate = coherence._ritz_certificate
+
+        def recording(b, beta):
+            steps.append(b.shape[-1])
+            return certificate(b, beta)
+
+        monkeypatch.setattr(coherence, "_ritz_certificate", recording)
+        batch = diagonal_norms(d)
+        assert max(steps) == _LANCZOS_MAX_STEPS  # every growth of the bases ran
+        alone = np.concatenate([diagonal_norms(d[j : j + 1]) for j in range(len(d))])
+        assert batch.tobytes() == alone.tobytes()
+        assert np.isnan(batch).tolist() == [False, False, True] * 3
+        top = np.abs(d).max(axis=1)
+        certified = ~np.isnan(batch)
+        np.testing.assert_allclose(batch[certified], top[certified], rtol=RTOL, atol=0.0)
+
+    def test_a_batch_certified_in_a_few_steps_holds_bases_of_a_few_steps(self):
+        # Certified in 7 steps: the bases end with room for 9 steps, 2 x 9 + 1
+        # rows a member, against 2 x 40 + 1 if every step ran.
+        n, count = 2000, 16
+        profile = np.concatenate([[10.0], np.linspace(1.0, 0.1, n - 1)])
+        d = spread_diagonals(np.random.default_rng(22), [profile] * count)
+        full = count * 16 * n * (2 * _LANCZOS_MAX_STEPS + 1)
+        tracemalloc.start()
+        try:
+            sigma = diagonal_norms(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(sigma, 10.0, rtol=RTOL, atol=0.0)
+        assert peak < full / 2
 
 
 def start_dependent_values() -> list[float]:
