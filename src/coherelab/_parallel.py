@@ -1,4 +1,4 @@
-"""Worker-count control for grid evaluations.
+"""Worker-count control for grid evaluations and ``simulate``'s CSV formatters.
 
 The ``COHERELAB_THREADS`` environment variable caps parallelism; ``0`` or
 an unset variable selects an automatic cap.  Results are always assembled

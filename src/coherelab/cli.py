@@ -3,15 +3,18 @@
 One analysis per process: parse the input files, run the requested
 computation, and write the result (CSV or a short text report) to stdout
 or ``--out``.  The file is opened only once the computation has
-succeeded, so a failing command creates none; ``simulate`` writes its
-rows one at a time.  Exit codes: 0 success, 1 validation error (bad
-flags, malformed files, unsatisfied preconditions) or a stdout closed
+succeeded and is removed if writing it fails, so a failing command
+leaves none; ``simulate`` streams its rows
+(``timedomain.write_trajectory_csv``).  Exit codes: 0 success, 1
+validation error (bad flags, malformed files, unsatisfied
+preconditions), output that could not be written or a stdout closed
 before the output was written, 2 numerical failure.
 Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
 caps the worker threads of ``sweep`` (one grid point each) and
-``converge`` (one multiplier each), 0 = automatic; no other command
-uses them.
+``converge`` (one multiplier each) and, on Linux, the forked processes
+that format ``simulate``'s rows (one block of rows each), 0 = automatic;
+no other command uses them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import sys
 
 from . import __version__
+from ._parallel import thread_count
 from .aggregate import _aggregate_of_mean, _aggregation_error, aggregate_to_text
 from .coherence import (
     DEFAULT_MARGIN,
@@ -196,6 +200,7 @@ def _cmd_converge(args):
 
 
 def _cmd_simulate(args):
+    thread_count()  # a bad COHERELAB_THREADS fails here, before --out is opened
     net = read_network_file(args.net, tol_cancel=args.tol_cancel)
     signal = _parse_input(args.input)
     trajectory = simulate(closed_loop(net), signal, args.t_end, args.dt)
@@ -403,8 +408,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"coherelab: error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
-        with fh:
-            write(fh)
+        try:
+            with fh:
+                write(fh)
+        except OSError as exc:  # a full disk, or a failed CSV formatter
+            if os.path.isfile(args.out):
+                os.unlink(args.out)
+            print(f"coherelab: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         try:
             write(sys.stdout)
@@ -413,6 +424,9 @@ def main(argv=None) -> int:
             # The reader closed the pipe (``| head``): send what is still
             # buffered to devnull, so that the flush at exit cannot fail too.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except OSError as exc:
+            print(f"coherelab: error: cannot write the output: {exc}", file=sys.stderr)
             return 1
     return code
 

@@ -133,6 +133,16 @@ class SingularSystem(NumericalError):
         super().__init__(f"closed-loop system matrix is singular at s = {self.s}")
 
 
+class InverseGainOverflow(NumericalError):
+    """A node gain is too small for its inverse to be represented."""
+
+    def __init__(self, s: complex, node: int):
+        self.s = complex(s)
+        self.node = int(node)
+        super().__init__(f"1/g_{self.node}(s) overflows at s = {self.s}: the node gain is "
+                         "too small to invert")
+
+
 class PoleOfCoherent(ValidationError):
     """The probe point is a pole of the coherent dynamics ``gbar``."""
 
@@ -466,7 +476,8 @@ def _point_values(
     indeterminate = np.any(num_small & den_small, axis=1)
     finite = ~(num_small | den_small)
     inv = np.zeros(num.shape, dtype=complex)
-    inv[finite] = den[finite] / num[finite]
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_inverse raises for these
+        inv[finite] = den[finite] / num[finite]
     records = []
     for k, (s, f_val) in enumerate(zip(points, f_vals)):
         vanished = tuple(np.flatnonzero(num_small[k]).tolist())
@@ -483,7 +494,15 @@ def _evaluate(net: NetworkModel, s: complex, tol_zero: float) -> _PointValues:
     [pt] = _point_values(net._num, net._den, [s], [f_val], tol_zero)
     if pt.indeterminate:
         raise IndeterminateAt(s)
+    _check_inverse(pt)
     return pt
+
+
+def _check_inverse(pt: _PointValues) -> None:
+    """Raise ``InverseGainOverflow`` where some ``1/g_i(s)`` is not finite."""
+    overflow = np.flatnonzero(~np.isfinite(pt.inv))
+    if overflow.size:
+        raise InverseGainOverflow(pt.s, overflow[0])
 
 
 def _transfer(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, float]:
@@ -494,11 +513,13 @@ def _transfer(pt: _PointValues, laplacian: np.ndarray) -> tuple[np.ndarray, floa
     vanishing gain pin their outputs to zero: their rows and columns of T
     are zero, and the rest is solved on the grounded Laplacian without them
     (estimate 1 where every gain vanishes).  Raises ``IndeterminateAt`` for
-    a record ``_point_values`` marked indeterminate, ``PoleOfCoupling``
-    where ``f`` is infinite and ``SingularSystem`` where A is singular.
+    a record ``_point_values`` marked indeterminate, ``InverseGainOverflow``
+    where some ``1/g_i`` is not finite, ``PoleOfCoupling`` where ``f`` is
+    infinite and ``SingularSystem`` where A is singular.
     """
     if pt.indeterminate:
         raise IndeterminateAt(pt.s)
+    _check_inverse(pt)
     if is_at_infinity(pt.f):
         raise PoleOfCoupling(pt.s)
     kept = np.arange(laplacian.shape[0])

@@ -43,7 +43,7 @@ import numpy as np
 from ._streams import check_int, substream, unit_table, unit_tables
 from .errors import ValidationError
 from .coherence import (
-    _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _fmt,
+    _LANCZOS_MAX_STEPS, FrequencyGrid, PoleOfCoupling, SingularSystem, _check_inverse, _fmt,
     _golub_kahan_norms, _point_values, _spectral_norm, _svd_norm, _transfer,
     _warn_ill_conditioned,
 )
@@ -322,8 +322,9 @@ def expected_dynamics(
     deterministic given the seed and call order.  Its draws follow the
     envelope rule at ``DEFAULT_TOL_ZERO``: a point where some draw's gain
     vanishes gives 0, a draw with a pole there adds 0 to the mean (a zero
-    mean gives ``inf``), and a draw that is 0/0 there raises
-    ``IndeterminateAt``.
+    mean gives ``inf``), a draw that is 0/0 there raises
+    ``IndeterminateAt`` and a draw whose ``1/g`` overflows raises
+    ``InverseGainOverflow``.
     """
     if method == "closed_form":
         tf = _closed_form_tf(model)
@@ -349,6 +350,7 @@ def expected_dynamics(
             for p, pt in enumerate(pts):
                 if pt.indeterminate:
                     raise IndeterminateAt(pt.s)
+                _check_inverse(pt)
                 mean = np.mean(pt.inv)
                 out[p] = 0j if pt.vanished else 1.0 / mean if mean else complex(math.inf, 0.0)
             return out
@@ -567,6 +569,8 @@ def _complete_incoherence(
     pole = np.array([is_at_infinity(pt.f) for pt in pts])
     fw = family.weight * np.array([0j if p else pt.f for pt, p in zip(pts, pole)])
     inv = np.array([pt.inv for pt in pts])
+    overflow = ~np.isfinite(inv).all(axis=1)
+    inv[overflow] = 0.0  # the point raises below; its values take no part
     kept = np.ones(inv.shape, dtype=bool)
     for k, pt in enumerate(pts):
         kept[k, list(pt.vanished)] = False
@@ -576,7 +580,7 @@ def _complete_incoherence(
     np.divide(1.0, diag, out=d, where=kept & (diag != 0))
     denom = (n - kept.sum(axis=1) + (d * inv).sum(axis=1)) / n
 
-    irregular = indeterminate | pole | zero_pivot | (denom == 0)
+    irregular = indeterminate | overflow | pole | zero_pivot | (denom == 0)
     norms, cond = np.empty(len(pts)), np.ones(len(pts))
     reg = np.flatnonzero(~irregular)
     d, inv, kept, fw = d[reg], inv[reg], kept[reg], fw[reg]
@@ -608,6 +612,8 @@ def _complete_incoherence(
         if irregular[k]:
             if indeterminate[k]:
                 raise IndeterminateAt(pt.s)
+            if overflow[k]:
+                _check_inverse(pt)
             if pole[k]:
                 raise PoleOfCoupling(pt.s)
             if not zero_pivot[k]:

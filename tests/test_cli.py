@@ -131,6 +131,14 @@ class TestEval:
         assert "coherelab: error: envelope constants must be positive" in err
 
 
+    def test_a_gain_whose_inverse_overflows_is_a_numerical_failure(self, capsys, netfile):
+        net = CONSENSUS_PAIR.replace("node 0 num 1.0", "node 0 num 2.225073858507e-311")
+        code, out, err = run(capsys, "eval", "--net", netfile(net),
+                             "--sigma", "0.5", "--omega", "1.0")
+        assert (code, out, err) == (
+            2, "", "coherelab: numerical failure: 1/g_0(s) overflows at s = (0.5+1j): "
+                   "the node gain is too small to invert\n")
+
 class TestSweep:
     def test_low_frequency_is_most_coherent(self, capsys, netfile):
         code, out, _ = run(
@@ -300,6 +308,67 @@ class TestSimulate:
         assert message in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("reference", [[], ["--reference"]])
+    @pytest.mark.parametrize("timing", [["--t-end", "2.0", "--dt", "0.02"],  # 101 rows
+                                        ["--t-end", "1.0", "--dt", "1.0"]])  # 2 rows
+    def test_every_thread_count_writes_the_same_bytes(self, capsys, netfile, tmp_path,
+                                                      monkeypatch, reference, timing):
+        # Every row is a block, and blocks go to forked formatters.
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "sin:1.3:0.7",
+                *timing, *reference]
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        for threads in ("2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("COHERELAB_THREADS")
+            else:
+                monkeypatch.setenv("COHERELAB_THREADS", threads)
+            path = tmp_path / f"traj-{threads}.csv"
+            assert run(capsys, *argv) == (0, want, "")
+            assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == want.encode()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_formatter_is_an_error_and_leaves_no_file(self, capsys, netfile,
+                                                                  tmp_path, monkeypatch):
+        argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "impulse",
+                "--t-end", "1.0", "--dt", "0.1"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        # Every row is a block; the forked formatter of the odd rows fails.
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        rows, parent = timedomain._csv_rows, os.getpid()
+
+        def failing_rows(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return rows(*args)
+
+        monkeypatch.setattr(timedomain, "_csv_rows", failing_rows)
+        failure = "the process formatting CSV rows 1 to 1 ended with status 1"
+        path = tmp_path / "traj.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (
+            1, "", f"coherelab: error: cannot write {path}: {failure}\n")
+        assert not path.exists()
+        # On stdout the rows before the failed block stay, then the error.
+        assert run(capsys, *argv) == (
+            1, "".join(want.splitlines(keepends=True)[:2]),
+            f"coherelab: error: cannot write the output: {failure}\n")
+
+    def test_a_bad_thread_count_fails_before_the_file_is_created(self, capsys, netfile,
+                                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "abc")
+        path = tmp_path / "traj.csv"
+        code, out, err = run(capsys, "simulate", "--net", netfile(SWING_LINE),
+                             "--input", "impulse", "--t-end", "1.0", "--out", str(path))
+        assert (code, out, err) == (
+            1, "", "coherelab: error: COHERELAB_THREADS must be an integer, got 'abc'\n")
+        assert not path.exists()
+
     def test_bad_input_spec(self, capsys, netfile):
         for spec in ("bogus", "step:1", "sin:1", "step:a:b"):
             code, _, err = run(
@@ -356,6 +425,17 @@ class TestConcentrate:
         assert code == 1
         assert out == ""
         assert err == f"coherelab: error: seed must fit in 64 bits, got {seed}\n"
+
+    @pytest.mark.parametrize("family", ["complete", "ring"])
+    def test_a_gain_whose_inverse_overflows_is_a_numerical_failure(self, capsys, netfile,
+                                                                   family):
+        # 1/g = s / 2.2e-311 overflows at every grid point.
+        model = netfile("num 2.225073858507e-311\nden 0 1\n", "tiny.model")
+        code, out, err = run(capsys, "concentrate", "--model", model, "--family", family,
+                             "--sizes", "3", "--trials", "1", "--points", "1")
+        assert (code, out, err) == (
+            2, "", "coherelab: numerical failure: 1/g_0(s) overflows at s = (0.5+0.1j): "
+                   "the node gain is too small to invert\n")
 
     def test_all_zero_numerator_model_is_rejected(self, capsys, netfile):
         model = netfile("num 0 0\nden 0 1\n", "zero.model")

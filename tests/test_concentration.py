@@ -47,6 +47,7 @@ from coherelab.concentration import (
 from coherelab import concentration
 from coherelab.coherence import (
     _LANCZOS_MAX_STEPS,
+    InverseGainOverflow,
     PoleOfCoupling,
     SingularSystem,
     _node_tables,
@@ -1115,6 +1116,15 @@ class TestExpectedDynamics:
         assert at_poles[1] == pytest.approx(closed[1], rel=0.05)
         assert at_zeros[:1].tobytes() == np.zeros(1, dtype=complex).tobytes()
         assert at_zeros[1] != 0
+
+    def test_monte_carlo_raises_where_an_inverse_gain_overflows(self):
+        # 1/g = s / 2.2e-311 overflows at s = 1 for every draw.
+        model = RandomTFModel((Uniform(2.2e-311, 2.3e-311),), (Constant(0.0), Constant(1.0)),
+                              seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InverseGainOverflow, match=r"overflows at s = \(1\+0j\)"):
+                expected_dynamics(model, MonteCarlo(10, seed=1)).evaluate(1.0)
 
     def test_monte_carlo_takes_numpy_integers(self):
         mc = MonteCarlo(np.int64(1000), seed=np.uint64(3))

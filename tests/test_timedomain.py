@@ -1,12 +1,16 @@
 """Tests for state-space realization and simulation."""
 
 import hashlib
+import io
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from coherelab import timedomain
 from coherelab.errors import ValidationError
 from coherelab.network import complete_graph, laplacian_from_edges
 from coherelab.rational import RationalTF, tf_eval
@@ -499,3 +503,134 @@ class TestTrajectory:
         ref = Trajectory(np.array([0.0, 0.4]), np.ones((1, 2)), "ref")
         with pytest.raises(ValidationError):
             trajectory_csv_lines(traj, ref)
+
+
+class TestParallelCsv:
+    """``write_trajectory_csv`` with its rows split among forked formatters."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Every row is a block, and blocks go to forked processes; the pids
+        forked are listed."""
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forked
+
+    @staticmethod
+    def trajectories(rows, outputs):
+        rng = np.random.default_rng(rows * 10 + outputs)
+        traj = Trajectory(np.arange(rows) * 0.1, rng.standard_normal((outputs, rows)), "in")
+        ref = Trajectory(traj.times, rng.standard_normal((1, rows)), "ref")
+        return traj, ref
+
+    @staticmethod
+    def written(traj, ref):
+        out = io.StringIO()
+        write_trajectory_csv(traj, out, ref)
+        return out.getvalue()
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("rows, outputs", [(2, 1), (2, 2), (3, 1), (7, 2), (101, 3)])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
+    def test_bytes_are_those_of_the_serial_writer(self, forks, monkeypatch, rows, outputs,
+                                                  with_reference, threads):
+        if threads is None:
+            monkeypatch.delenv("COHERELAB_THREADS")
+        else:
+            monkeypatch.setenv("COHERELAB_THREADS", threads)
+        traj, ref = self.trajectories(rows, outputs)
+        ref = ref if with_reference else None
+        want = "".join(line + "\n" for line in trajectory_csv_lines(traj, ref))
+        assert self.written(traj, ref) == want
+        assert len(forks) == min(timedomain.thread_count(), rows) - 1
+        self.assert_no_child_left()
+
+    def test_small_output_forks_nothing(self, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small output"))
+        traj, ref = self.trajectories(101, 3)
+        want = "".join(line + "\n" for line in trajectory_csv_lines(traj, ref))
+        assert self.written(traj, ref) == want
+
+    def test_blocks_that_cannot_fork_are_formatted_here(self, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "5")
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        fork, calls = os.fork, []
+
+        def fork_every_other():
+            calls.append(None)
+            if len(calls) % 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_every_other)
+        traj, ref = self.trajectories(40, 3)
+        want = "".join(line + "\n" for line in trajectory_csv_lines(traj, ref))
+        assert self.written(traj, ref) == want
+        assert len(calls) == 4
+        self.assert_no_child_left()
+
+    def test_a_bad_reference_fails_before_any_fork(self, forks):
+        traj, _ = self.trajectories(20, 2)
+        ref = Trajectory(traj.times * 1.5, np.ones((1, 20)), "ref")
+        out = io.StringIO()
+        with pytest.raises(ValidationError, match="time grid"):
+            write_trajectory_csv(traj, out, ref)
+        assert (out.getvalue(), forks) == ("", [])
+
+    # A row of the first block, or the first chunk copied from a pipe.
+    @pytest.mark.parametrize("failing_write", [2, 15])
+    def test_a_broken_stream_leaves_no_child(self, forks, failing_write):
+        traj, ref = self.trajectories(40, 3)
+
+        class Closing(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == failing_write:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        with pytest.raises(BrokenPipeError):
+            write_trajectory_csv(traj, Closing(), ref)
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "kill"])
+    def test_a_failing_formatter_makes_the_writer_raise(self, forks, monkeypatch, failure):
+        # Ten blocks of three rows; the third worker formats blocks 2, 5 and 8.
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 6)
+        traj, ref = self.trajectories(30, 2)
+        lines = trajectory_csv_lines(traj, ref)
+        rows = timedomain._csv_rows
+
+        def failing_rows(traj, reference, start, stop):
+            if start == 15:  # block 5, the forked worker's second
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError
+            return rows(traj, reference, start, stop)
+
+        monkeypatch.setattr(timedomain, "_csv_rows", failing_rows)
+        out = io.StringIO()
+        with pytest.raises(ChildProcessError, match="rows 15 to 17"):
+            write_trajectory_csv(traj, out, ref)
+        # Every row before the failed block, and nothing after it.
+        assert out.getvalue() == "".join(line + "\n" for line in lines[:16])
+        self.assert_no_child_left()
