@@ -752,12 +752,7 @@ def _spectral_norm(t: np.ndarray, shift: complex = 0) -> float:
     return _svd_norm(t, shift) if math.isnan(sigma) else sigma
 
 
-def transfer_matrix(
-    net: NetworkModel,
-    s: complex,
-    *,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-) -> np.ndarray:
+def transfer_matrix(net: NetworkModel, s: complex) -> np.ndarray:
     """Closed-loop transfer matrix T(s) of the coupled network.
 
     Solves ``(diag{1/g_i(s)} + f(s) L) T = I``.  Nodes whose gain
@@ -766,27 +761,25 @@ def transfer_matrix(
     ``IllConditionedWarning`` when the solve's condition estimate
     exceeds ``COND_LIMIT``.
     """
-    pt = _evaluate(net, s, tol_zero)
+    pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
     t, cond = _transfer(pt, net.laplacian.matrix)
     _warn_ill_conditioned(pt, cond)
     return t
 
 
-def transfer_matrix_direct(
-    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
-) -> np.ndarray:
+def transfer_matrix_direct(net: NetworkModel, s: complex) -> np.ndarray:
     """Reference evaluation ``(I + G(s) f(s) L)^{-1} G(s)``.
 
     Requires every node gain to be finite at ``s`` (raises ``NodePole``
     otherwise); algebraically identical to ``transfer_matrix`` wherever
     both are defined, and kept as an independent cross-check.
     """
-    f_val = tf_eval(net.coupling, s, tol_zero=tol_zero)
+    f_val = tf_eval(net.coupling, s)
     if is_at_infinity(f_val):
         raise PoleOfCoupling(s)
     gains = np.zeros(net.n, dtype=complex)
     for i, g in enumerate(net.nodes):
-        v = tf_eval(g, s, tol_zero=tol_zero)
+        v = tf_eval(g, s)
         if is_at_infinity(v):
             raise NodePole(s, i)
         gains[i] = v
@@ -798,9 +791,7 @@ def transfer_matrix_direct(
         raise SingularSystem(s) from exc
 
 
-def transfer_matrix_modal(
-    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
-) -> np.ndarray:
+def transfer_matrix_modal(net: NetworkModel, s: complex) -> np.ndarray:
     """Eigenbasis evaluation for identical node dynamics.
 
     With every node equal to ``g``, the closed loop diagonalizes in the
@@ -810,7 +801,7 @@ def transfer_matrix_modal(
     """
     if not all(tf_approx_equal(g, net.nodes[0]) for g in net.nodes[1:]):
         raise ValidationError("eigenbasis evaluation requires identical node dynamics")
-    pt = _evaluate(net, s, tol_zero)
+    pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
     if is_at_infinity(pt.f):
         raise PoleOfCoupling(s)
     lam = net.laplacian.eigenvalues
@@ -823,43 +814,44 @@ def transfer_matrix_modal(
     return (vecs * (1.0 / denoms)) @ vecs.T
 
 
-def gbar_value(net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO) -> ExtComplex:
+def gbar_value(net: NetworkModel, s: complex) -> ExtComplex:
     """Point value of the coherent dynamics: harmonic mean of node gains.
 
     Returns ``AT_INFINITY`` at poles of the mean and ``0j`` wherever any
     node gain vanishes.  Works point-wise, so it never needs the symbolic
     mean (which can be expensive for large heterogeneous networks).
     """
-    return _evaluate(net, s, tol_zero).gbar
+    return _evaluate(net, s, DEFAULT_TOL_ZERO).gbar
 
 
-def coherent_projection(
-    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
-) -> np.ndarray:
+def coherent_projection(net: NetworkModel, s: complex) -> np.ndarray:
     """Rank-one coherent part ``(1/n) gbar(s) 11^T``."""
-    v = gbar_value(net, s, tol_zero=tol_zero)
+    v = gbar_value(net, s)
     if is_at_infinity(v):
         raise PoleOfCoherent(s)
     return _coherent_matrix(v, net.n)
 
 
-def incoherence(net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
-    """Spectral-norm distance between T(s) and its coherent part."""
-    pt = _evaluate(net, s, tol_zero)
+def incoherence(net: NetworkModel, s: complex) -> float:
+    """Spectral-norm distance between T(s) and its coherent part.
+
+    Emits ``IllConditionedWarning`` as ``transfer_matrix`` does.
+    """
+    pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
     if is_at_infinity(pt.gbar):
         raise PoleOfCoherent(s)
-    return _spectral_norm(_transfer(pt, net.laplacian.matrix)[0], pt.gbar)
+    t, cond = _transfer(pt, net.laplacian.matrix)
+    _warn_ill_conditioned(pt, cond)
+    return _spectral_norm(t, pt.gbar)
 
 
 def _effective_connectivity(f_val: ExtComplex, lam2: float) -> float:
     return math.inf if is_at_infinity(f_val) else abs(f_val) * lam2
 
 
-def effective_connectivity(
-    net: NetworkModel, s: complex, *, tol_zero: float = DEFAULT_TOL_ZERO
-) -> float:
+def effective_connectivity(net: NetworkModel, s: complex) -> float:
     """|f(s)| times the algebraic connectivity; ``inf`` at poles of f."""
-    return _effective_connectivity(_evaluate(net, s, tol_zero).f,
+    return _effective_connectivity(_evaluate(net, s, DEFAULT_TOL_ZERO).f,
                                    algebraic_connectivity(net.laplacian))
 
 
@@ -942,7 +934,6 @@ def default_bounds(
     grid: FrequencyGrid,
     *,
     margin: float = DEFAULT_MARGIN,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> tuple[float, float]:
     """Envelope constants from a frequency sweep, inflated by ``margin``.
 
@@ -953,7 +944,7 @@ def default_bounds(
     _check_margin(margin)
     pts = []
     for s in grid.points:
-        pt = _evaluate(net, complex(s), tol_zero)
+        pt = _evaluate(net, complex(s), DEFAULT_TOL_ZERO)
         if is_at_infinity(pt.gbar):
             raise PoleOnGrid(complex(s))
         if pt.vanished:
@@ -1159,25 +1150,23 @@ def sup_incoherence(
     grid: FrequencyGrid,
     *,
     refine_check: bool = True,
-    refine_rtol: float = 0.05,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> float:
     """Largest incoherence over the grid.
 
     Raises ``UndefinedPointInGrid`` when the incoherence is undefined at
     some grid point.  With ``refine_check`` the grid is re-evaluated at
-    doubled density; if the supremum grows by more than ``refine_rtol``
-    (relative), a ``GridRefinementWarning`` flags the grid as too coarse.
+    doubled density; if the supremum grows by more than 5% (relative), a
+    ``GridRefinementWarning`` flags the grid as too coarse.
     """
-    result = sweep(net, grid, with_bounds=False, tol_zero=tol_zero)
+    result = sweep(net, grid, with_bounds=False)
     sup = result.sup_incoherence()
     if refine_check and grid.omegas.size > 1:
-        fine = sweep(net, grid.refined(), with_bounds=False, tol_zero=tol_zero)
+        fine = sweep(net, grid.refined(), with_bounds=False)
         sup_fine = fine.sup_incoherence()
-        if sup_fine > sup * (1.0 + refine_rtol) and sup_fine - sup > 1e-15:
+        if sup_fine > sup * 1.05 and sup_fine - sup > 1e-15:
             warnings.warn(
                 f"doubling the grid density raised the supremum from {sup:.6g} "
-                f"to {sup_fine:.6g} (> {refine_rtol:.0%}); the grid is too coarse",
+                f"to {sup_fine:.6g} (> 5%); the grid is too coarse",
                 GridRefinementWarning,
                 stacklevel=2,
             )
@@ -1212,7 +1201,9 @@ def convergence_study(
     study reports ``|T|`` there instead (kind ``norm_T``); the decay
     rate in the connectivity is the same.  Envelope constants for the
     bound column come from the probe point itself and are shared across
-    all multipliers (they do not depend on the graph).
+    all multipliers (they do not depend on the graph).  Emits
+    ``IllConditionedWarning`` per multiplier, in multiplier order, as
+    ``transfer_matrix`` does.
     """
     if not alphas:
         raise ValidationError("need at least one multiplier")
@@ -1226,15 +1217,15 @@ def convergence_study(
     m1, m2 = _envelopes([pt], DEFAULT_MARGIN)
     lam2 = algebraic_connectivity(net.laplacian)
 
-    def one(alpha: float) -> ConvergenceRow:
+    def one(alpha: float) -> tuple[ConvergenceRow, float]:
         try:
-            t = _transfer(pt, alpha * net.laplacian.matrix)[0]
+            t, cond = _transfer(pt, alpha * net.laplacian.matrix)
         except SingularSystem:
             if kind == "norm_T":
-                return ConvergenceRow(alpha, math.inf, None, kind)
+                return ConvergenceRow(alpha, math.inf, None, kind), 1.0
             raise
         if kind == "norm_T":
-            return ConvergenceRow(alpha, _spectral_norm(t), None, kind)
+            return ConvergenceRow(alpha, _spectral_norm(t), None, kind), cond
         value = _spectral_norm(t, pt.gbar)
         bound = None
         if m1 is not None and m2 is not None:
@@ -1242,9 +1233,14 @@ def convergence_study(
                 bound = _envelope_bound(pt, alpha * lam2, m1, m2)
             except BoundHypothesisViolated:
                 bound = None
-        return ConvergenceRow(alpha, value, bound, kind)
+        return ConvergenceRow(alpha, value, bound, kind), cond
 
-    return map_ordered(one, alphas)
+    # Warned here, not in ``one``: a warning raised in a pool thread would
+    # be attributed to concurrent.futures.
+    results = map_ordered(one, alphas)
+    for _, cond in results:
+        _warn_ill_conditioned(pt, cond)
+    return [row for row, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -1256,8 +1252,6 @@ def _pole_direction_data(
     net: NetworkModel,
     s: complex,
     lambda_lim: Sequence[float] | None,
-    tol_pole: float,
-    tol_zero: float,
 ) -> tuple[complex, complex, _PointValues]:
     """Shared core for the coherent-pole direction.
 
@@ -1272,8 +1266,8 @@ def _pole_direction_data(
     n = net.n
     if n < 2:
         raise ValidationError("pole direction needs at least two nodes")
-    pt = _evaluate(net, s, tol_zero)
-    if not is_at_infinity(_coherent_value(pt.inv, pt.vanished, tol_pole)):
+    pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
+    if not is_at_infinity(_coherent_value(pt.inv, pt.vanished, DEFAULT_TOL_POLE)):
         raise NotAPoleOfCoherent(s)
     f_val = pt.f
     if is_at_infinity(f_val):
@@ -1313,8 +1307,6 @@ def coherent_pole_direction(
     s: complex,
     *,
     lambda_lim: Sequence[float] | None = None,
-    tol_pole: float = DEFAULT_TOL_POLE,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> complex:
     """Unit-modulus coefficient gamma of the limiting rank-one shape.
 
@@ -1325,27 +1317,23 @@ def coherent_pole_direction(
     eigenvectors.  ``lambda_lim`` defaults to the positive Laplacian
     eigenvalues divided by the smallest one.
     """
-    gamma, _, _ = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
+    gamma, _, _ = _pole_direction_data(net, s, lambda_lim)
     return gamma
 
 
-def normalized_incoherence(
-    net: NetworkModel,
-    s: complex,
-    *,
-    lambda_lim: Sequence[float] | None = None,
-    tol_pole: float = DEFAULT_TOL_POLE,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-) -> float:
+def normalized_incoherence(net: NetworkModel, s: complex) -> float:
     """Shape distance between T and the limiting rank-one profile.
 
     Valid only at poles of the coherent mean (``NotAPoleOfCoherent``
     otherwise).  Measures ``| T/|T| - c 11^T/n |`` where ``c`` is the
-    unit-modulus limit direction; decays as connectivity grows even
-    though the raw incoherence is undefined at such points.
+    unit-modulus limit direction of ``coherent_pole_direction``; decays
+    as connectivity grows even though the raw incoherence is undefined at
+    such points.  Emits ``IllConditionedWarning`` as ``transfer_matrix``
+    does.
     """
-    _, direction, pt = _pole_direction_data(net, s, lambda_lim, tol_pole, tol_zero)
-    t = _transfer(pt, net.laplacian.matrix)[0]
+    _, direction, pt = _pole_direction_data(net, s, None)
+    t, cond = _transfer(pt, net.laplacian.matrix)
+    _warn_ill_conditioned(pt, cond)
     norm_t = _spectral_norm(t)
     if norm_t == 0.0:
         raise DegenerateGamma(f"transfer matrix vanishes at s = {s}")
@@ -1368,21 +1356,17 @@ class UniformityVerdict:
         return f"ineligible: {self.reason}"
 
 
-def rhp_uniform_check(
-    net: NetworkModel,
-    *,
-    tol_classify: float = DEFAULT_TOL_CLASSIFY,
-    tol_stability: float = 1e-9,
-) -> UniformityVerdict:
+def rhp_uniform_check(net: NetworkModel) -> UniformityVerdict:
     """Checks the structural conditions for coherence that is uniform
     over the closed right half-plane (not just point-wise):
 
     - every node is proper but not strictly proper (finite nonzero
       high-frequency gain),
-    - the coherent mean is stable (all poles strictly in the open left
-      half-plane),
+    - the coherent mean is stable (every pole has real part below
+      ``-1e-9 (1 + max |pole|)``),
     - no point of the closed right half-plane is a zero of two or more
-      nodes (shared right-half-plane zeros defeat uniformity).
+      nodes (zeros within ``DEFAULT_TOL_CLASSIFY``; shared
+      right-half-plane zeros defeat uniformity).
 
     The poles come from the symbolic ``harmonic_mean`` of the nodes, whose
     ``ExcessiveDegree`` and ``DegenerateMean`` propagate.
@@ -1395,12 +1379,12 @@ def rhp_uniform_check(
     gbar_poles = poles(harmonic_mean(net.nodes))
     pole_scale = 1.0 + float(np.max(np.abs(gbar_poles))) if gbar_poles.size else 1.0
     for p in gbar_poles:
-        if p.real >= -tol_stability * pole_scale:
+        if p.real >= -1e-9 * pole_scale:
             return UniformityVerdict(
                 False, f"coherent mean has a pole at {complex(p)} (not strictly stable)"
             )
-    for z in net._zeros[net._zeros.real >= -tol_classify]:
-        if nodal_multiplicity(net, z, tol=tol_classify) >= 2:
+    for z in net._zeros[net._zeros.real >= -DEFAULT_TOL_CLASSIFY]:
+        if nodal_multiplicity(net, z) >= 2:
             return UniformityVerdict(
                 False, f"multiple nodes share a right-half-plane zero near {complex(z)}"
             )
@@ -1419,7 +1403,7 @@ class FailureRow:
     argmax: complex
 
 
-def _gain_linearization_scale(net: NetworkModel, z: complex, tol: float) -> np.ndarray:
+def _gain_linearization_scale(net: NetworkModel, z: complex) -> np.ndarray:
     """|g_i(z)| per node, replaced by |g_i'(z)| at nodes vanishing there.
 
     Near a shared zero ``z`` the node gains behave like their first
@@ -1429,7 +1413,7 @@ def _gain_linearization_scale(net: NetworkModel, z: complex, tol: float) -> np.n
     point = np.array([z], dtype=complex)
     num = _horner(net._num, point)[0]
     den = _horner(net._den, point)[0]
-    vanishing = net._nodes_with_zero_near(z, tol)
+    vanishing = net._nodes_with_zero_near(z, DEFAULT_TOL_CLASSIFY)
     derivative = net._num[vanishing, 1:] * np.arange(1, net._num.shape[1])
     num[vanishing] = _horner(derivative, point)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1443,11 +1427,7 @@ def failure_experiment(
     radius: float,
     alphas: Sequence[float],
     *,
-    angles: int = 24,
-    radii: int = 16,
     expect_shared: bool = True,
-    tol: float = DEFAULT_TOL_CLASSIFY,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> list[FailureRow]:
     """Sup of the incoherence on a disk around ``z`` versus coupling scale.
 
@@ -1455,7 +1435,8 @@ def failure_experiment(
     validated, else ``HypothesisViolated``), the supremum stays bounded
     away from zero no matter how strong the coupling: the obstruction
     migrates toward ``z`` but never disappears.  The sampling disk uses
-    log-spaced radii augmented, per multiplier, with the predicted
+    24 angles and 15 log-spaced radii from ``radius`` to
+    ``radius / 1000``, augmented, per multiplier, with the predicted
     obstruction distance ``1 / max eig(D^{1/2} (alpha L) D^{1/2})``
     (``D`` from ``_gain_linearization_scale``), so the shrinking feature
     is actually sampled.  With ``expect_shared=False`` the same sweep
@@ -1463,19 +1444,17 @@ def failure_experiment(
     """
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    if angles < 4 or radii < 2:
-        raise ValidationError("need at least 4 angles and 2 radii")
     if not alphas or any(float(a) <= 0 for a in alphas):
         raise ValidationError("multipliers must be positive")
-    mult = nodal_multiplicity(net, z, tol=tol)
+    mult = nodal_multiplicity(net, z)
     if expect_shared and mult != net.n:
         raise HypothesisViolated(
             f"expected every node gain to vanish at {complex(z)}; only {mult} of {net.n} do"
         )
-    scale_diag = _gain_linearization_scale(net, z, tol)
+    scale_diag = _gain_linearization_scale(net, z)
     sqrt_d = np.sqrt(scale_diag)
-    base_radii = np.geomspace(radius, radius * 1e-3, radii - 1)
-    thetas = 2.0 * math.pi * np.arange(angles) / angles
+    base_radii = np.geomspace(radius, radius * 1e-3, 15)
+    thetas = 2.0 * math.pi * np.arange(24) / 24
     rows: list[FailureRow] = []
     for alpha in alphas:
         alpha = float(alpha)
@@ -1493,7 +1472,7 @@ def failure_experiment(
             for th in thetas:
                 s = complex(z) + r * cmath.exp(1j * th)
                 try:
-                    pt = _evaluate(net, s, tol_zero)
+                    pt = _evaluate(net, s, DEFAULT_TOL_ZERO)
                     if is_at_infinity(pt.gbar):
                         continue
                     t = _transfer(pt, scaled)[0]

@@ -233,14 +233,15 @@ def grounded(lap: LaplacianMatrix, removed: Iterable[int]) -> GroundedLaplacian:
                              removed=tuple(sorted(removed_set)), parent_n=lap.n)
 
 
-def grounded_bound_check(lap: LaplacianMatrix, removed: Iterable[int],
-                         tol: float = 1e-9) -> tuple[float, float, bool]:
+def grounded_bound_check(lap: LaplacianMatrix,
+                         removed: Iterable[int]) -> tuple[float, float, bool]:
     """Compare the grounded submatrix's smallest eigenvalue to (m/n) lambda2.
 
     Returns ``(lambda_min, reference, holds)`` where the reference value is
-    the removed-fraction share of the algebraic connectivity.
+    the removed-fraction share of the algebraic connectivity and ``holds``
+    allows ``lambda_min`` to fall short of it by 1e-9.
     """
     sub = grounded(lap, removed)
     reference = len(sub.removed) / lap.n * algebraic_connectivity(lap)
     lam = sub.lambda_min
-    return lam, reference, lam >= reference - tol
+    return lam, reference, lam >= reference - 1e-9

@@ -269,8 +269,7 @@ def tf_eval(g: RationalTF, s: complex,
     return num_val / den_val
 
 
-def tf_add(a: RationalTF, b: RationalTF,
-           tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
+def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
     """Exact sum, followed by one simplification pass.
 
     Equal denominators add their numerators: cross multiplying squares each
@@ -278,18 +277,17 @@ def tf_add(a: RationalTF, b: RationalTF,
     eight real poles in [0.5, 2] would keep 15 of 16, off by 6.7e-8).
     """
     if np.array_equal(a.den.coeffs, b.den.coeffs):
-        return simplify(RationalTF(npoly.polyadd(a.num.coeffs, b.num.coeffs), a.den), tol_cancel)
+        return simplify(RationalTF(npoly.polyadd(a.num.coeffs, b.num.coeffs), a.den))
     num = npoly.polyadd(npoly.polymul(a.num.coeffs, b.den.coeffs),
                         npoly.polymul(b.num.coeffs, a.den.coeffs))
     den = npoly.polymul(a.den.coeffs, b.den.coeffs)
-    return simplify(RationalTF(num, den), tol_cancel)
+    return simplify(RationalTF(num, den))
 
 
-def tf_mul(a: RationalTF, b: RationalTF,
-           tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
+def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
     num = npoly.polymul(a.num.coeffs, b.num.coeffs)
     den = npoly.polymul(a.den.coeffs, b.den.coeffs)
-    return simplify(RationalTF(num, den), tol_cancel)
+    return simplify(RationalTF(num, den))
 
 
 def tf_scale(g: RationalTF, c: float) -> RationalTF:
@@ -389,8 +387,7 @@ def simplify(g: RationalTF, tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalT
     return RationalTF(num, den_new)
 
 
-def harmonic_mean(gs: Iterable[RationalTF],
-                  tol_cancel: float = DEFAULT_TOL_CANCEL) -> RationalTF:
+def harmonic_mean(gs: Iterable[RationalTF]) -> RationalTF:
     """Harmonic mean ``( (1/n) sum g_i^{-1} )^{-1}`` of transfer functions.
 
     The sum of inverses is accumulated by exact cross multiplication, or by
@@ -431,7 +428,7 @@ def harmonic_mean(gs: Iterable[RationalTF],
     mean_num = Polynomial(acc_num / len(gs))
     if mean_num.is_zero:
         raise DegenerateMean("the inverses sum identically to zero")
-    return simplify(RationalTF(acc_den, mean_num.coeffs), tol_cancel)
+    return simplify(RationalTF(acc_den, mean_num.coeffs))
 
 
 def poles(g: RationalTF) -> np.ndarray:

@@ -358,16 +358,16 @@ def closed_loop(net: NetworkModel) -> StateSpace:
 # ---------------------------------------------------------------------------
 
 
-def default_step(ss: StateSpace, cap: float = 0.01) -> float:
-    """Default output spacing: ``0.5 / |A|_inf``, at most ``cap``.
+def default_step(ss: StateSpace) -> float:
+    """Default output spacing: ``0.5 / |A|_inf``, at most 0.01.
 
     The sampling is exact at any spacing; this one keeps the fastest
     dynamics resolved on the output grid.
     """
     norm_a = float(np.linalg.norm(ss.a, np.inf)) if ss.n_states else 0.0
     if norm_a == 0.0:
-        return cap
-    return min(cap, 0.5 / norm_a)
+        return 0.01
+    return min(0.01, 0.5 / norm_a)
 
 
 # Largest |A|_1 at which the degree-m diagonal Pade approximant to exp(A)

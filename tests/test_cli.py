@@ -86,6 +86,23 @@ coupling num -1.0 / den 1.0
 
 KS_MODEL = "num U(1,5)\nden 0 1\nseed 7\n"
 
+NEAR_SINGULAR_RING = """\
+nodes 6
+edge 0 1 1.0
+edge 0 5 1.0
+edge 1 2 1.0
+edge 2 3 1.0
+edge 3 4 1.0
+edge 4 5 1.0
+node 0 num 3.5478467492858172 / den 0.0 1.0
+node 1 num 2.0791468550554812 / den 0.0 1.0
+node 2 num 1.1638940957447788 / den 0.0 1.0
+node 3 num 1.0661105421141164 / den 0.0 1.0
+node 4 num 4.25308095680109 / den 0.0 1.0
+node 5 num 4.651022309110887 / den 0.0 1.0
+coupling num 1.0 / den 1.0
+"""
+
 
 @pytest.fixture
 def netfile(tmp_path):
@@ -190,6 +207,28 @@ class TestConverge:
         assert alphas == [1.0, 4.0, 16.0]
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values[0] > values[1] > values[2]
+
+    def test_an_ill_conditioned_solve_warns_on_stderr_only(self, tmp_path):
+        # Six integrators k_i/s on a ring, probed where diag(s/k_i) + L is
+        # nearly singular: stdout keeps its bytes, stderr carries one
+        # warning per multiplier.
+        path = tmp_path / "ring.net"
+        path.write_text(NEAR_SINGULAR_RING)
+        src = os.path.dirname(os.path.dirname(coherelab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coherelab.cli", "converge", "--net", str(path),
+             "--sigma", "1e-13", "--omega", "1e-13", "--alphas", "1,2"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (b"alpha,value,bound,kind\n"
+                               b"1.0,26816321334.19072,9.371584931502703,incoherence\n"
+                               b"2.0,12084142584.455996,4.685792465750352,incoherence\n")
+        warned = [line for line in proc.stderr.decode().splitlines()
+                  if "IllConditionedWarning" in line]
+        assert [line.rsplit(" ", 1)[1] for line in warned] == ["5.645e+13", "1.128e+14"]
 
     def test_bad_alphas_flag(self, capsys, netfile):
         code, _, err = run(

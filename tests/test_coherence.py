@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from coherelab.errors import GridRefinementWarning, IllConditionedWarning, ValidationError
-from coherelab.network import complete_graph, grounded, laplacian_from_edges, scale_connectivity
+from coherelab.network import (
+    complete_graph,
+    grounded,
+    k_regular_ring,
+    laplacian_from_edges,
+    scale_connectivity,
+)
 from coherelab.rational import (
     DegenerateMean,
     IndeterminateAt,
@@ -73,6 +79,16 @@ INV_S = RationalTF([1.0], [0.0, 1.0])  # 1/s, used as a coupling filter too
 
 def consensus_pair(weight: float = 1.0) -> NetworkModel:
     return NetworkModel(complete_graph(2, weight), [INTEGRATOR, INTEGRATOR], ONE)
+
+
+def near_singular_ring() -> NetworkModel:
+    """Six integrators k_i/s on a ring; ``diag(s/k_i) + L`` is nearly
+    singular at ``NEAR_ORIGIN`` (condition estimate 5.6e13)."""
+    gains = np.random.default_rng(0).uniform(1.0, 5.0, 6)
+    return NetworkModel(k_regular_ring(6, 1), [RationalTF([k], [0.0, 1.0]) for k in gains], ONE)
+
+
+NEAR_ORIGIN = 1e-13 + 1e-13j
 
 
 def random_network(rng, n=None, coupling=None) -> NetworkModel:
@@ -235,6 +251,11 @@ class TestIncoherence:
         net = NetworkModel(complete_graph(4, 1.0), nodes, INV_S)
         values = [incoherence(net, 1j * w) for w in (1.0, 0.3, 0.1, 0.03)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_ill_conditioned_solve_warns(self):
+        with pytest.warns(IllConditionedWarning, match="condition estimate 5.645e") as caught:
+            incoherence(near_singular_ring(), NEAR_ORIGIN)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_grounded_norm_bound_at_isolated_zero(self):
         # one node's gain vanishes; |T| is controlled by the grounded
@@ -788,6 +809,17 @@ class TestConvergenceStudy:
         with pytest.raises(PoleOfCoupling):
             convergence_study(net, 0.0, [1, 2])
 
+    def test_ill_conditioned_solves_warn_in_multiplier_order(self, monkeypatch):
+        # Four multipliers on two threads: the rows are solved in the pool,
+        # the warnings come from the caller's thread.
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        with pytest.warns(IllConditionedWarning) as caught:
+            rows = convergence_study(near_singular_ring(), NEAR_ORIGIN, [8, 1, 4, 2])
+        assert [w.filename for w in caught] == [__file__] * 4
+        estimates = [float(str(w.message).rsplit(" ", 1)[1]) for w in caught]
+        assert estimates == sorted(estimates)
+        assert [r.alpha for r in rows] == [1.0, 2.0, 4.0, 8.0]
+
 
 # ---------------------------------------------------------------------------
 # Behaviour at poles of the coherent mean
@@ -835,6 +867,12 @@ class TestNormalizedIncoherence:
     def test_requires_pole(self):
         with pytest.raises(NotAPoleOfCoherent):
             normalized_incoherence(mirrored_pair(1.0), 0.5)
+
+    def test_ill_conditioned_solve_warns(self):
+        # det(diag(-1, 1) + w L) = -1, so the condition estimate is (2w + 1)^2
+        with pytest.warns(IllConditionedWarning, match="condition estimate 4.000e") as caught:
+            normalized_incoherence(mirrored_pair(1e6), 0.0)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_shape_distance_definition(self):
         net = mirrored_pair(100.0)

@@ -505,6 +505,8 @@ class TestPerDrawOracles:
              draws=3, seed=0)
     @example(num=[Constant(2.0), Constant(0.0), Constant(0.5)],
              den=[Constant(2.0), Constant(0.0), Constant(0.5)], draws=3, seed=0)
+    # A subnormal gain 2.2e-311/s, whose inverse overflows at every point.
+    @example(num=[Constant(2.225073858507e-311)], den=[Constant(0.0)], draws=1, seed=0)
     @settings(max_examples=40, deadline=None)
     def test_monte_carlo_batches_equal_per_slot_uniform_draws(self, num, den, draws, seed):
         model = _model_of(num, den)
@@ -516,8 +518,9 @@ class TestPerDrawOracles:
             den_coeffs = np.stack(_per_draw(rng, model.den_specs, draws))
             with np.errstate(all="ignore"):
                 want = [_harmonic_mean_of_draws(s, num_coeffs, den_coeffs) for s in points]
-                if None in want:
-                    with pytest.raises(IndeterminateAt):
+                error = next((w for w in want if isinstance(w, type)), None)
+                if error is not None:
+                    with pytest.raises(error):
                         mc.evaluate_many(points)
                     continue
                 got = mc.evaluate_many(points)
@@ -528,7 +531,9 @@ def _harmonic_mean_of_draws(s, num_coeffs, den_coeffs):
     """``1/mean(den/num)`` over the draws (one per column of the ascending
     coefficient rows) at ``s``, under the envelope rule at ``tol_zero``:
     ``0j`` where a numerator vanishes, a vanishing denominator adds 0 to the
-    mean, ``inf+0j`` for a zero mean, and None where some draw is 0/0."""
+    mean, ``inf+0j`` for a zero mean.  The error the point raises instead:
+    ``IndeterminateAt`` where some draw is 0/0, else ``InverseGainOverflow``
+    where some draw with a finite nonzero gain has a non-finite 1/g."""
     polyval = np.polynomial.polynomial.polyval
     num, den = polyval(s, num_coeffs), polyval(s, den_coeffs)
     num_zero, den_zero = (
@@ -536,7 +541,9 @@ def _harmonic_mean_of_draws(s, num_coeffs, den_coeffs):
         for value, coeffs in ((num, num_coeffs), (den, den_coeffs))
     )
     if (num_zero & den_zero).any():
-        return None
+        return IndeterminateAt
+    if (~(num_zero | den_zero) & ~np.isfinite(den / num)).any():
+        return InverseGainOverflow
     if num_zero.any():
         return 0j
     mean = np.mean(np.where(den_zero, 0.0, den / num))
