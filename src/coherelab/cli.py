@@ -13,8 +13,9 @@ Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
 caps the worker threads of ``sweep`` (one grid point each) and
 ``converge`` (one multiplier each) and, on Linux, the forked processes
-that format ``simulate``'s rows (one block of rows each), 0 = automatic;
-no other command uses them.
+that format ``simulate``'s rows (one block of rows each) and measure
+``concentrate``'s trials (one block of trials of each size, where no BLAS
+pool runs), 0 = automatic; no other command uses them.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_concentrate(args):
+    thread_count()  # a bad COHERELAB_THREADS fails here, before any work
     model = read_model_file(args.model)
     table = concentration_experiment(
         model,
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
         try:
             with fh:
                 write(fh)
-        except OSError as exc:  # a full disk, or a failed CSV formatter
+        except OSError as exc:  # a full disk, or a CSV formatter that died mid-block
             if os.path.isfile(args.out):
                 os.unlink(args.out)
             print(f"coherelab: error: cannot write {args.out}: {exc}", file=sys.stderr)

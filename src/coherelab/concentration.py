@@ -16,8 +16,11 @@ coefficients by one rule (``_coefficients``).  The experiment measures
 all trials of a network size together: it derives the node substreams of
 many trials in one vectorized pass, as ``sample_nodes`` derives those of
 one draw set, bit for bit numpy's ``SeedSequence``/``PCG64``
-(``_streams.unit_tables``).  ``COHERELAB_THREADS`` does not apply to the
-trials.  The draws are kept as padded coefficient tables, no
+(``_streams.unit_tables``).  Above a fixed amount of work
+(``_FORK_WORK``), in a process whose BLAS runs one thread, the trials of
+each size are split into up to ``COHERELAB_THREADS`` contiguous blocks,
+run on forked workers (``_parallel.forked_in_order``) with the bytes,
+warnings and errors of one process.  The draws are kept as padded coefficient tables, no
 ``RationalTF`` is built, and each trial's nodes are evaluated at many
 grid points in one pass.  The (trial, grid point) records are taken in
 chunks sized by a fixed memory budget that run on across trials, and the
@@ -34,12 +37,14 @@ each point is solved and normed densely in turn.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
+from ._parallel import forked_in_order, runs_one_thread, thread_count
 from ._streams import check_int, substream, unit_table, unit_tables
 from .errors import ValidationError
 from .coherence import (
@@ -486,8 +491,40 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
 # runs raised the peak RSS by 2.1 MiB under 8 MiB and by 0.4 MiB under
 # 2 MiB.  Under 2 MiB a chunk holds one point at n = 810 to 3,240, where 8
 # MiB holds several: an 8-point grid at n = 500 to 2,000 takes up to 1.9
-# times as long as under 8 MiB.
+# times as long as under 8 MiB.  The budget is per process: each forked
+# worker of ``concentration_experiment`` holds a chunk of its own.
 _KRYLOV_BYTES = 1 << 21
+# Work, summed over the (trial, grid point) records of all sizes, above
+# which the trials of each size are split among forked workers.  A record
+# counts ``_record_work(n)``.  The workers are forked only where no BLAS pool
+# runs (``_parallel.runs_one_thread``): each would start one of its own, and
+# the pools would share the cores.  On a 2-core x86 VM, BLAS on one thread,
+# two workers against one process (medians of 7 calls, 8 grid points): the
+# complete family at n = 20 took 19.8 -> 25.3 ms over 20 trials (work
+# 3,200) and 53 -> 38 ms over 40 (work 6,400); a ring at n = 50 took
+# 25 -> 28 ms over 5 trials and at n = 100 133 -> 86 ms over 5.  The split
+# pays from some 30 ms of one process's time.
+_FORK_WORK = 1 << 13
+
+
+def _record_work(n: int, complete: bool) -> int:
+    """The work counted for one record at ``n`` nodes: ``n`` on the
+    complete family, whose record costs O(n), and ``n**2 / 16`` on a dense
+    Laplacian, whose record (an n x n solve and norm) took 1.2 to 45 times
+    a complete record's time at n = 20 to 400 in the runs above."""
+    return n if complete else max(n, n * n // 16)
+
+
+def _trial_blocks(trials: int, blocks: int, n: int, points: int) -> list[range]:
+    """``range(trials)`` cut into up to ``blocks`` contiguous, nearly equal
+    blocks of trials of ``points`` records at ``n`` nodes.  Each block
+    starts after a whole number of chunks (``_chunk_records``), where
+    ``_size_measurements`` on all the trials starts a chunk afresh, so the
+    blocks measured one after another take its steps in its order."""
+    span = _chunk_records(n)
+    step = span // math.gcd(points, span)
+    starts = sorted({trials * b // blocks // step * step for b in range(blocks)})
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [trials])]
 
 
 def _chunk_records(n: int) -> int:
@@ -497,11 +534,12 @@ def _chunk_records(n: int) -> int:
 
 
 def _draw_tables(
-    model: RandomTFModel, n: int, seed: int, trials: int
+    model: RandomTFModel, n: int, seed: int, trials: range
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The node tables of each trial of size ``n``, in trial order: those of
-    trial ``t`` are bit for bit ``_node_tables`` on ``simplify`` of each
-    ``sample_nodes(model, n, seed, spawn_prefix=(n, t))`` draw.
+    """The node tables of each trial ``t`` in ``trials`` of size ``n``, in
+    order: those of trial ``t`` are bit for bit ``_node_tables`` on
+    ``simplify`` of each ``sample_nodes(model, n, seed, spawn_prefix=(n,
+    t))`` draw, whatever other trials the range holds.
 
     The draws are ``sample_nodes``'s own: ``unit_tables`` derives the
     substreams ``(n, t, i)`` of a chunk's count of trials
@@ -517,9 +555,9 @@ def _draw_tables(
     """
     slots = _random_slots(model)
     per_pass = _chunk_records(n)
-    for first in range(0, trials, per_pass):
-        drawn = min(per_pass, trials - first)
-        unit = unit_tables(seed, [(n, t) for t in range(first, first + drawn)], n, slots)
+    for first in range(0, len(trials), per_pass):
+        drawn = min(per_pass, len(trials) - first)
+        unit = unit_tables(seed, [(n, t) for t in trials[first:first + drawn]], n, slots)
         raw = _coefficients(model, unit.reshape(drawn * n, slots))
         tables, degree, rejected = _normalized_table(raw)
         rebuilt = np.flatnonzero(rejected | ((degree[:, 0] != 0) & (degree[:, 1] >= 1)))
@@ -634,10 +672,10 @@ def _size_measurements(
     f_vals: list,
     ghat_vals: np.ndarray,
     seed: int,
-    trials: int,
+    trials: range,
 ) -> tuple[list, list, list]:
-    """Every trial of size ``n``: the lists, one entry per trial, of
-    ``sup |gbar - ghat|``, ``sup |T - ghat/n 11^T|`` and ``max |1/g_i|``.
+    """The trials ``trials`` of size ``n``: the lists, one entry per trial,
+    of ``sup |gbar - ghat|``, ``sup |T - ghat/n 11^T|`` and ``max |1/g_i|``.
 
     ``f_vals`` holds the coupling filter's value at each grid point.  The
     records are taken trial by trial and in grid order within a trial, in
@@ -652,7 +690,7 @@ def _size_measurements(
     as one batch by ``_complete_incoherence``, which keeps the same order.
     """
     span = _chunk_records(n)
-    sup_gbar, sup_inc, max_inv = [0.0] * trials, [0.0] * trials, [0.0] * trials
+    sup_gbar, sup_inc, max_inv = ([0.0] * len(trials) for _ in range(3))
 
     def measure(chunk):
         if not chunk:
@@ -676,7 +714,7 @@ def _size_measurements(
 
     tables = _draw_tables(model, n, seed, trials)
     chunk = []
-    for t in range(trials):
+    for t in range(len(trials)):
         try:
             num, den = next(tables)
         except Exception:
@@ -718,14 +756,25 @@ def concentration_experiment(
     A ``CompleteFamily``'s Laplacian is not built: its ``lambda2`` is
     ``w n`` and its trials use the structure of ``L = w(nI - 11^T)``
     (see ``_complete_incoherence`` for the one exception).  Other families
-    build their Laplacian once per size.
+    build their Laplacian once per block of trials, and one process holds
+    one at a time.
 
     Trials are independent; each derives its random substream from
-    ``(seed, n, trial)``, so the table is reproducible.  All trials of a
-    size are measured together (``_size_measurements``): their substreams
-    in one pass and, on a ``CompleteFamily``, their points normed in
-    batches that span trials, with the values, warnings and errors of
-    running them one after another.  Static unit coupling is the default.
+    ``(seed, n, trial)``, so the table is reproducible.  The trials of a
+    size are measured in contiguous blocks (``_size_measurements``): their
+    substreams in one pass and, on a ``CompleteFamily``, their points
+    normed in batches that span trials, with the values, warnings and
+    errors of running them one after another.  Where the work of all
+    records (``_record_work``) exceeds ``_FORK_WORK`` and this process
+    runs no BLAS pool or other thread (``_parallel.runs_one_thread``), each
+    size takes up to ``min(_parallel.thread_count(), trials)`` blocks
+    (``_trial_blocks``), which ``_parallel.forked_in_order`` deals to
+    forked workers.  A block starts where one block of all trials would
+    start a chunk afresh, and a block that warns or fails in a worker, or
+    whose worker dies, is measured again in this process, in order; so
+    every warning, the frame it points at and the first error are those
+    of one block of all trials.  Below the cutoff one process measures
+    each size as one block.  Static unit coupling is the default.
     """
     sizes = [check_int(n, "network size") for n in sizes]
     if not sizes:
@@ -740,6 +789,7 @@ def concentration_experiment(
     if not epsilon > 0:
         raise ValidationError(f"threshold epsilon must be positive, got {epsilon}")
     root = model.seed if seed is None else _check_seed(seed)
+    workers = thread_count()
     if coupling is None:
         coupling = RationalTF([1.0], [1.0])
     if expected is None:
@@ -757,24 +807,63 @@ def concentration_experiment(
     coupling = simplify(coupling)
     f_vals = [tf_eval(coupling, s, tol_zero=DEFAULT_TOL_ZERO) for s in points]
 
-    rows = []
-    observed_max_inv = 0.0
-    for n in sizes:
-        if isinstance(graph_family, CompleteFamily):
-            graph, lam2 = graph_family, float(graph_family.weight * n)
-            if not math.isfinite(lam2):  # as complete_graph refuses it
+    complete = isinstance(graph_family, CompleteFamily)
+    work = trials * len(points) * sum(_record_work(n, complete) for n in sizes)
+    blocks = min(workers, trials) if work > _FORK_WORK and runs_one_thread() else 1
+    units = [(n, block) for n in sizes for block in _trial_blocks(trials, blocks, n, len(points))]
+    lam2s: dict = {}
+    columns = {n: ([], [], []) for n in sizes}
+
+    def graph_of(n: int) -> CompleteFamily | LaplacianMatrix:
+        return graph_family if complete else graph_family.build(n)
+
+    def measure(n: int, graph, block: range) -> tuple[list, list, list]:
+        return _size_measurements(model, n, graph, points, f_vals, ghat_vals, root, block)
+
+    def connectivity(n: int, graph) -> None:
+        """A size's lambda2, found before the events of its trials."""
+        if complete:
+            lam2s[n] = float(graph_family.weight * n)
+            if not math.isfinite(lam2s[n]):  # as complete_graph refuses it
                 raise ValidationError("Laplacian entries must be finite")
         else:
-            graph = graph_family.build(n)
-            lam2 = algebraic_connectivity(graph)
-        gbar_devs, inc_sups, max_invs = _size_measurements(
-            model, n, graph, points, f_vals, ghat_vals, root, trials
-        )
-        observed_max_inv = max(observed_max_inv, *max_invs)
+            lam2s[n] = algebraic_connectivity(graph)
+
+    def produce(unit) -> bytes | None:
+        # A unit that warns or fails is redone here, where its events come in order.
+        n, block = unit
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = np.array(measure(n, graph_of(n), block), dtype=float)
+        return None if caught else values.tobytes()
+
+    def run_here(unit) -> None:
+        n, block = unit
+        graph = graph_of(n)
+        if block.start == 0:
+            connectivity(n, graph)
+        for column, values in zip(columns[n], measure(n, graph, block)):
+            column.extend(values)
+
+    def take(unit, chunks) -> None:
+        n, block = unit
+        try:
+            payload = b"".join(chunks)
+        except ChildProcessError:  # the worker died before the whole block came
+            run_here(unit)
+            return
+        if block.start == 0:
+            connectivity(n, graph_of(n))
+        for column, taken in zip(columns[n], np.frombuffer(payload).reshape(3, -1).tolist()):
+            column.extend(taken)
+
+    forked_in_order(units, blocks, produce, take, run_here)
+    rows = []
+    for n, (gbar_devs, inc_sups, max_invs) in columns.items():
         rows.append(
             ConcentrationRow(
                 n=n,
-                lambda2=lam2,
+                lambda2=lam2s[n],
                 sup_gbar_dev=float(np.mean(gbar_devs)),
                 sup_incoherence_mean=float(np.mean(inc_sups)),
                 sup_incoherence_max=float(np.max(inc_sups)),
@@ -782,6 +871,7 @@ def concentration_experiment(
                 exceed_frac=float(np.mean([v >= epsilon for v in inc_sups])),
             )
         )
+    observed_max_inv = max(0.0, *(v for _, _, max_invs in columns.values() for v in max_invs))
     return ConcentrationTable(
         rows=tuple(rows),
         epsilon=float(epsilon),

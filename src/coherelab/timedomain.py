@@ -13,17 +13,13 @@ grows.
 
 from __future__ import annotations
 
-import gc
 import math
-import os
-import signal
-import sys
 from dataclasses import dataclass
-from typing import Iterator, NoReturn, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from ._parallel import thread_count
+from ._parallel import forked_in_order, thread_count
 from .errors import ValidationError
 from .coherence import COND_LIMIT, NetworkModel
 from .rational import Properness, RationalTF, harmonic_mean, properness, tf_scale
@@ -531,16 +527,10 @@ def trajectory_csv_lines(traj: Trajectory, reference: Trajectory | None = None) 
     return [_csv_header(traj, reference), *_csv_rows(traj, reference, 0, traj.times.size)]
 
 
-# ``os.fork`` is safe here only where the child may keep running Python
-# without an exec: not on macOS, whose system libraries may abort in a
-# forked child, and not on Windows, which has no fork.
-_CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
 # Output samples in a block of rows, at least about.  A formatting process
 # holds one block of text at a time, about 20 bytes a sample, and the rows
 # are forked out only when they make two blocks or more.
 _BLOCK_SAMPLES = 1 << 14
-# Bytes copied from a formatter's pipe at a time: a few rows of a wide network.
-_PIPE_CHUNK = 1 << 14
 
 
 def write_trajectory_csv(
@@ -550,118 +540,33 @@ def write_trajectory_csv(
     by a newline.
 
     The rows are cut into contiguous blocks of about ``_BLOCK_SAMPLES``
-    samples or more, dealt in turn to up to ``_parallel.thread_count()`` workers.
-    On Linux every worker after the first is a forked process that formats
-    its blocks one after another into its own pipe, each behind its length,
-    while this process formats and writes its own blocks row by row and
-    copies the others' blocks to ``stream`` in order, ``_PIPE_CHUNK`` bytes
-    at a time; the bytes do not depend on the split.  This process writes
-    every row itself with one worker, for a single block, on other systems,
-    and for the blocks of a worker it cannot fork.  Each process holds one
-    block of text at most; this one holds a row, or a chunk, at a time.  A
-    formatter that fails raises ``ChildProcessError`` before any row of its
-    block is written, and no forked process outlives the call.
+    samples or more, which ``_parallel.forked_in_order`` deals in turn to
+    up to ``_parallel.thread_count()`` workers: this process formats and
+    writes its own blocks row by row, and copies each forked formatter's
+    block to ``stream`` in order as it comes through the pipe; the bytes
+    do not depend on the split.  The block of a formatter that fails, or
+    that dies before it sends the block, is formatted here; one that dies
+    while it sends the block raises ``ChildProcessError``, after the part
+    of the block that came is written.  A formatter
+    holds one block of text at most, and this process a row or a chunk of
+    a pipe.
     """
     _check_reference(traj, reference)
     rows = traj.times.size
     blocks = max(1, min(rows, traj.outputs.size // _BLOCK_SAMPLES))
     bounds = [rows * b // blocks for b in range(blocks + 1)]
-    workers = min(thread_count(), blocks) if _CAN_FORK else 1
-    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            child = _fork_formatter(traj, reference, bounds[w:-1:workers], bounds[w + 1::workers])
-            if child is not None:
-                children[w] = child
-        stream.write(_csv_header(traj, reference) + "\n")
-        for b in range(blocks):
-            if b % workers not in children:
-                for line in _csv_rows(traj, reference, bounds[b], bounds[b + 1]):
-                    stream.write(line + "\n")
-            elif not _copy_block(children[b % workers][1], stream):
-                pid, fd = children.pop(b % workers)
-                os.close(fd)
-                status = os.waitpid(pid, 0)[1]
-                raise ChildProcessError(
-                    f"the process formatting CSV rows {bounds[b]} to {bounds[b + 1] - 1}"
-                    f" ended with status {os.waitstatus_to_exitcode(status)}"
-                )
-    finally:
-        # Every block is written or no longer wanted: end the formatters, done or not.
-        for pid, fd in children.values():
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    stream.write(_csv_header(traj, reference) + "\n")
 
+    def write_here(b: int) -> None:
+        for line in _csv_rows(traj, reference, bounds[b], bounds[b + 1]):
+            stream.write(line + "\n")
 
-def _copy_block(fd: int, stream: TextIO) -> bool:
-    """Copy the next block of a formatter's pipe ``fd`` to ``stream``;
-    False where the pipe ends before the block does."""
-    header = b""
-    while len(header) < 8:
-        chunk = os.read(fd, 8 - len(header))
-        if not chunk:
-            return False
-        header += chunk
-    left = int.from_bytes(header, "little")
-    while left:
-        chunk = os.read(fd, min(left, _PIPE_CHUNK))
-        if not chunk:
-            return False
-        stream.write(chunk.decode("ascii"))
-        left -= len(chunk)
-    return True
+    def format_block(b: int) -> bytes:
+        lines = _csv_rows(traj, reference, bounds[b], bounds[b + 1])
+        return "".join([line + "\n" for line in lines]).encode("ascii")
 
+    def copy_block(b: int, chunks: Iterator[bytes]) -> None:
+        for chunk in chunks:
+            stream.write(chunk.decode("ascii"))
 
-def _fork_formatter(
-    traj: Trajectory, reference: Trajectory | None, starts: list[int], stops: list[int]
-) -> tuple[int, int] | None:
-    """``(pid, read end)`` of a forked process that formats the blocks of
-    rows ``starts[i]`` to ``stops[i] - 1`` into a new pipe, or None where no
-    process can be forked."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller formats the blocks
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        os.close(read_end)
-        _format_blocks(traj, reference, starts, stops, write_end)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _format_blocks(
-    traj: Trajectory,
-    reference: Trajectory | None,
-    starts: list[int],
-    stops: list[int],
-    fd: int,
-) -> NoReturn:
-    """Body of a forked formatter: write each block of rows ``starts[i]``
-    to ``stops[i] - 1`` to ``fd``, behind its length in 8 little-endian
-    bytes, and end the process, with status 0 only once all are written.
-
-    Between the fork and ``os._exit`` the child runs only this: it calls
-    no BLAS, takes no lock, imports nothing and never returns into the
-    caller's code, so threads of the parent (BLAS pools among them) cannot
-    leave it deadlocked.  The collector is off, so that no finalizer of
-    the parent's objects runs here.  A block is formatted only once the
-    one before it is in the pipe, so the process holds one block at most.
-    """
-    code = 1
-    try:
-        gc.disable()
-        for start, stop in zip(starts, stops):
-            text = "".join([line + "\n" for line in _csv_rows(traj, reference, start, stop)])
-            data = text.encode("ascii")
-            del text
-            for view in (memoryview(len(data).to_bytes(8, "little")), memoryview(data)):
-                while view:
-                    view = view[os.write(fd, view):]
-            del data, view
-        code = 0
-    finally:
-        os._exit(code)
+    forked_in_order(range(blocks), thread_count(), format_block, copy_block, write_here)

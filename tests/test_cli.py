@@ -11,7 +11,7 @@ import pytest
 
 import coherelab
 from coherelab import NetworkModel, NumericalError, RationalTF, complete_graph
-from coherelab import aggregate, cli, coherence, rational, timedomain
+from coherelab import aggregate, cli, coherence, concentration, rational, timedomain
 from coherelab.cli import main
 from coherelab.netfile import network_file_text
 
@@ -371,13 +371,13 @@ class TestSimulate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_failing_formatter_is_an_error_and_leaves_no_file(self, capsys, netfile,
-                                                                  tmp_path, monkeypatch):
+    def test_a_failing_formatter_changes_no_byte(self, capsys, netfile, tmp_path, monkeypatch):
         argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "impulse",
                 "--t-end", "1.0", "--dt", "0.1"]
         code, want, _ = run(capsys, *argv)
         assert code == 0
-        # Every row is a block; the forked formatter of the odd rows fails.
+        # Every row is a block; the forked formatter of the odd rows fails,
+        # and this process formats its blocks.
         monkeypatch.setenv("COHERELAB_THREADS", "2")
         monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
         rows, parent = timedomain._csv_rows, os.getpid()
@@ -388,15 +388,44 @@ class TestSimulate:
             return rows(*args)
 
         monkeypatch.setattr(timedomain, "_csv_rows", failing_rows)
-        failure = "the process formatting CSV rows 1 to 1 ended with status 1"
+        path = tmp_path / "traj.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+        assert run(capsys, *argv) == (0, want, "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_formatter_that_dies_mid_block_is_an_error_and_leaves_no_file(
+            self, capsys, netfile, tmp_path, monkeypatch):
+        argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "impulse",
+                "--t-end", "1.0", "--dt", "0.1"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        # Every row is a block; the forked formatter of the odd rows sends
+        # half of its first block and dies, after part of it is written.
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        write, parent = os.write, os.getpid()
+
+        def dying_write(fd, data):
+            if os.getpid() != parent and len(data) > 8:
+                write(fd, data[:len(data) // 2])
+                os._exit(1)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", dying_write)
+        failure = "a forked worker ended in the middle of a payload"
         path = tmp_path / "traj.csv"
         assert run(capsys, *argv, "--out", str(path)) == (
             1, "", f"coherelab: error: cannot write {path}: {failure}\n")
         assert not path.exists()
-        # On stdout the rows before the failed block stay, then the error.
+        # On stdout the rows before the failure stay, then the error.
+        header, row0, row1 = want.splitlines(keepends=True)[:3]
         assert run(capsys, *argv) == (
-            1, "".join(want.splitlines(keepends=True)[:2]),
+            1, header + row0 + row1[:len(row1) // 2],
             f"coherelab: error: cannot write the output: {failure}\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_bad_thread_count_fails_before_the_file_is_created(self, capsys, netfile,
                                                                  tmp_path, monkeypatch):
@@ -497,6 +526,46 @@ class TestConcentrate:
         assert err == (
             f"coherelab: error: {model}: denominator is identically zero: no node gain is defined\n"
         )
+
+    def test_a_bad_thread_count_fails_before_any_work(self, capsys, netfile, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "abc")
+        monkeypatch.setattr(cli, "read_model_file", lambda path: pytest.fail("read the model"))
+        path = tmp_path / "table.csv"
+        code, out, err = run(capsys, "concentrate", "--model", netfile(KS_MODEL, "ks.model"),
+                             "--family", "complete", "--sizes", "4", "--trials", "1",
+                             "--out", str(path))
+        assert (code, out, err) == (
+            1, "", "coherelab: error: COHERELAB_THREADS must be an integer, got 'abc'\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family", ["complete", "ring:0.3"])
+    def test_every_thread_count_writes_the_same_bytes(self, capsys, netfile, tmp_path,
+                                                      monkeypatch, family):
+        # Every run forks where it has a block of trials to give away; a
+        # chunk holds one record, so a block may start at any trial.
+        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", 1)
+        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        argv = ["concentrate", "--model", netfile(KS_MODEL, "ks.model"), "--family", family,
+                "--sizes", "6,12", "--trials", "5", "--seed", "2", "--points", "4"]
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        for threads in ("2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("COHERELAB_THREADS")
+            else:
+                monkeypatch.setenv("COHERELAB_THREADS", threads)
+            path = tmp_path / f"table-{threads}.csv"
+            assert run(capsys, *argv) == (0, want, "")
+            assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == want.encode()
+        assert forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_tol_cancel_is_not_an_option(self, capsys, netfile):
         model = netfile(KS_MODEL, "ks.model")

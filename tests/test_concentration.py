@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
+import signal
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -275,7 +278,7 @@ def _sampled_tables(model, n, seed, trial):
 
 
 def _tables_outcomes(model, n, seed, trials):
-    drawn = _outcome(lambda: [table for pair in _draw_tables(model, n, seed, trials)
+    drawn = _outcome(lambda: [table for pair in _draw_tables(model, n, seed, range(trials))
                               for table in pair])
     sampled = _outcome(lambda: [table for trial in range(trials)
                                 for table in _sampled_tables(model, n, seed, trial)])
@@ -324,7 +327,7 @@ class TestTrialTables:
         monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
         model = RandomTFModel((Constant(1e305),), (Constant(0.0), Uniform(0.0, 1.0)))
         n, seed = 300, 21
-        tables = _draw_tables(model, n, seed, 5)
+        tables = _draw_tables(model, n, seed, range(5))
         for trial in range(3):
             got = next(tables)
             want = _sampled_tables(model, n, seed, trial)
@@ -353,7 +356,7 @@ class TestTrialTables:
         n = 60
         points = FrequencyGrid.linear(0.5, 0.1, 2.0, 12).points
         _size_measurements(gain_over_integrator(), n, complete_graph(n), points,
-                           [1.0 + 0j] * len(points), 2.0 / points, 3, 1)
+                           [1.0 + 0j] * len(points), 2.0 / points, 3, range(1))
         assert calls == {"RationalTF": 0, "inv": len(points), "solve": 0, "svd": len(points)}
 
     def test_points_with_vanished_gains_share_a_chunk_with_stacked_points(self):
@@ -392,7 +395,7 @@ class TestTrialTables:
         nodes = sample_nodes(model, n, seed=seed, spawn_prefix=(n, 0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _size_measurements(model, n, lap, points, f_vals, np.ones(3), seed, 1)
+            _size_measurements(model, n, lap, points, f_vals, np.ones(3), seed, range(1))
             for s, f in zip(points, f_vals):
                 transfer_matrix(NetworkModel(lap, nodes, RationalTF([f.real], [1.0])), s)
         messages = [str(w.message) for w in caught if w.category is IllConditionedWarning]
@@ -410,7 +413,7 @@ class TestTrialTables:
             points, f_vals = points[::-1], f_vals[::-1]
         with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
             _size_measurements(gain_over_integrator(), 2, complete_graph(2), points,
-                               f_vals, np.ones(3), 3, 1)
+                               f_vals, np.ones(3), 3, range(1))
         assert type(caught.value) is (PoleOfCoupling if pole_first else SingularSystem)
         assert caught.value.s == (0.5 + 2.0j if pole_first else 0.0)
 
@@ -422,7 +425,7 @@ class TestTrialTables:
         points = FrequencyGrid.linear(0.5, 0.1, 5.0, 40).points
         matrix = 16 * n * n
         args = (gain_over_integrator(), n, complete_graph(n), points,
-                [1.0 + 0j] * len(points), 2.0 / points, 3, 1)
+                [1.0 + 0j] * len(points), 2.0 / points, 3, range(1))
         _size_measurements(*args)  # one-off allocations stay out of the peak
         tracemalloc.start()
         try:
@@ -554,13 +557,13 @@ def _draw_fixed(monkeypatch, draw):
     """Make every size's trial ``t`` take the tables ``draw(t)``, drawn when
     the trial is taken."""
     monkeypatch.setattr(concentration, "_draw_tables",
-                        lambda model, n, seed, trials: map(draw, range(trials)))
+                        lambda model, n, seed, trials: map(draw, trials))
 
 
 def _one_trial(model, n, graph, points, f_vals, ghats, seed, trial):
     """Trial ``trial``'s (sup |gbar - ghat|, sup |T - ghat/n 11^T|, max |1/g_i|),
     measured with the trials before it."""
-    columns = _size_measurements(model, n, graph, points, f_vals, ghats, seed, trial + 1)
+    columns = _size_measurements(model, n, graph, points, f_vals, ghats, seed, range(trial + 1))
     return tuple(column[trial] for column in columns)
 
 
@@ -615,7 +618,7 @@ def _events(run):
 
 def _matches_trial_by_trial(model, n, graph, points, f_vals, ghats, seed, trials, draw=None):
     """``_size_measurements``'s events, asserted equal to the oracle's."""
-    got = _events(lambda: _size_measurements(model, n, graph, points, f_vals, ghats, seed, trials))
+    got = _events(lambda: _size_measurements(model, n, graph, points, f_vals, ghats, seed, range(trials)))
     want = _events(lambda: _trial_by_trial(model, n, graph, points, f_vals, ghats, seed, trials,
                                            draw))
     assert got == want
@@ -623,7 +626,7 @@ def _matches_trial_by_trial(model, n, graph, points, f_vals, ghats, seed, trials
 
 
 def _records(model, n, points, f_vals, seed=5, trial=0):
-    *_, (num, den) = _draw_tables(model, n, seed, trial + 1)
+    *_, (num, den) = _draw_tables(model, n, seed, range(trial + 1))
     return _point_values(num, den, points, f_vals, DEFAULT_TOL_ZERO)
 
 
@@ -654,7 +657,7 @@ def _grid_order_events(monkeypatch, n):
             warnings.simplefilter("always")
             with pytest.raises(PoleOfCoupling) as raised:
                 _size_measurements(gain_over_integrator(), n, graph, points, f_vals,
-                                   np.ones(3), 3, 1)
+                                   np.ones(3), 3, range(1))
         return raised.value.s, [(str(w.message).split(" has ")[0], w.filename)
                                 for w in caught if w.category is IllConditionedWarning]
 
@@ -691,8 +694,8 @@ class TestCompleteStructure:
         np.testing.assert_allclose(norms, want, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(cond, want_cond, rtol=1e-9, atol=0.0)
 
-        structured = _size_measurements(self.BIPROPER, n, family, points, f_vals, ghats, 5, 2)
-        dense = _size_measurements(self.BIPROPER, n, family.build(n), points, f_vals, ghats, 5, 2)
+        structured = _size_measurements(self.BIPROPER, n, family, points, f_vals, ghats, 5, range(2))
+        dense = _size_measurements(self.BIPROPER, n, family.build(n), points, f_vals, ghats, 5, range(2))
         assert structured[0::2] == dense[0::2]
         assert structured[1] == pytest.approx(dense[1], rel=1e-11, abs=0.0)
 
@@ -726,7 +729,7 @@ class TestCompleteStructure:
         def warned(graph):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                _size_measurements(model, n, graph, points, f_vals, np.ones(3), seed, 1)
+                _size_measurements(model, n, graph, points, f_vals, np.ones(3), seed, range(1))
             return [(str(w.message).split(" has ")[0], w.filename)
                     for w in caught if w.category is IllConditionedWarning]
 
@@ -756,7 +759,7 @@ class TestCompleteStructure:
         def failure(graph):
             with pytest.raises((PoleOfCoupling, SingularSystem)) as caught:
                 _size_measurements(gain_over_integrator(), n, graph, points, f_vals,
-                                   np.ones(3), 3, 1)
+                                   np.ones(3), 3, range(1))
             return type(caught.value), caught.value.s
 
         assert failure(CompleteFamily()) == failure(complete_graph(n)) == (
@@ -771,7 +774,7 @@ class TestCompleteStructure:
         for graph in (CompleteFamily(), complete_graph(3)):
             with pytest.raises(IndeterminateAt) as caught:
                 _size_measurements(gain_over_integrator(), 3, graph, points, [1.0 + 0j] * 3,
-                                   np.ones(3), 3, 1)
+                                   np.ones(3), 3, range(1))
             assert caught.value.s == 1.0
 
     def test_points_fail_and_warn_in_the_dense_order_where_chunks_hold_one_point(
@@ -813,10 +816,10 @@ class TestCompleteStructure:
         f_vals = [1.0 + 0j] * len(points)
         for n, graph in ((20, CompleteFamily()), (20, RingFamily().build(20)),
                          (130, RingFamily().build(130))):
-            whole = _size_measurements(model, n, graph, points, f_vals, ghats, 1, 3)
+            whole = _size_measurements(model, n, graph, points, f_vals, ghats, 1, range(3))
             with monkeypatch.context() as patch:
                 patch.setattr(concentration, "_KRYLOV_BYTES", 1)
-                single = _size_measurements(model, n, graph, points, f_vals, ghats, 1, 3)
+                single = _size_measurements(model, n, graph, points, f_vals, ghats, 1, range(3))
             assert np.array(single).tobytes() == np.array(whole).tobytes()
 
     def test_chunks_keep_memory_bounded_on_the_default_grid(self):
@@ -828,7 +831,7 @@ class TestCompleteStructure:
         bases = max(_KRYLOV_BYTES, 16 * n * (2 * _LANCZOS_MAX_STEPS + 1))
         points = FrequencyGrid.linear(0.5, 0.1, 2.0, 50).points
         args = (gain_over_integrator(), n, CompleteFamily(), points, [1.0 + 0j] * len(points),
-                expected_dynamics(gain_over_integrator()).evaluate_many(points), 1, 3)
+                expected_dynamics(gain_over_integrator()).evaluate_many(points), 1, range(3))
         tracemalloc.start()
         try:
             _size_measurements(*args)
@@ -971,7 +974,7 @@ class TestSizeMeasurements:
         monkeypatch.setattr(concentration, "_KRYLOV_BYTES", budget)
         model = RandomTFModel((Constant(1.0), Uniform(0.0, 2e-12)), (Constant(1.0),))
         n, seed, trials = 2, 0, 6
-        widths = [num.shape[1] for num, _ in _draw_tables(model, n, seed, trials)]
+        widths = [num.shape[1] for num, _ in _draw_tables(model, n, seed, range(trials))]
         assert widths == [2, 2, 2, 1, 1, 2]
         _matches_trial_by_trial(model, n, CompleteFamily(), self.POINTS, [1.0 + 0j] * 3,
                                 np.ones(3), seed, trials)
@@ -1373,6 +1376,267 @@ class TestConcentrationExperiment:
         smaller = ConcentrationRow(4, 4.0, 0.1, 0.1, 0.2, 2, 0.5)
         with pytest.raises(ValidationError):
             ConcentrationTable((row, smaller), 0.1, 1.0, None)
+
+
+class TestForkedTrials:
+    """Above ``_FORK_WORK`` the trials of each size are split into blocks
+    that forked workers measure; the table, the warnings and the first
+    error are those of one process."""
+
+    GRID = FrequencyGrid.linear(0.5, 0.1, 2.0, 5)
+
+    @pytest.fixture
+    def forks(self, counted_forks, monkeypatch):
+        """Every experiment forks where it may; the pids forked are listed."""
+        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
+        return counted_forks
+
+    @pytest.fixture
+    def counted_forks(self, monkeypatch):
+        """Experiments above the cutoff fork; the pids forked are listed.
+        A chunk holds one record, so that a block may start at any trial."""
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES", 1)
+        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forked
+
+    @staticmethod
+    def set_threads(monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("COHERELAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COHERELAB_THREADS", threads)
+
+    @staticmethod
+    def table_bytes(table):
+        rows = [dataclasses.astuple(row) for row in table.rows]
+        return np.array(rows + [(table.observed_max_inverse_gain,) * 7]).tobytes()
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def experiment(self, family, trials=5, sizes=(6, 12, 25)):
+        return concentration_experiment(gain_over_integrator(seed=2), family, list(sizes),
+                                        self.GRID, trials, 0.1, 3)
+
+    @pytest.mark.parametrize("family", [CompleteFamily(0.7), RingFamily(0.3)])
+    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
+    def test_tables_are_those_of_one_process(self, forks, monkeypatch, family, threads):
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.table_bytes(self.experiment(family))
+        assert forks == []
+        self.set_threads(monkeypatch, threads)
+        assert self.table_bytes(self.experiment(family)) == want
+        workers = min(concentration.thread_count(), 5)
+        assert len(forks) == workers - 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["2", "3", None])
+    def test_small_work_forks_nothing(self, monkeypatch, threads):
+        self.set_threads(monkeypatch, threads)
+        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the cutoff"))
+        # 5 trials x 5 points x 43 nodes is below the cutoff.
+        assert 5 * 5 * 43 <= concentration._FORK_WORK
+        self.experiment(CompleteFamily())
+
+    def test_a_dense_laplacian_s_records_count_more(self, counted_forks, monkeypatch):
+        # 5 trials x 5 points at n = 100 count 2,500 on the complete family
+        # and 15,625 on a ring, whose records are dense solves.
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        self.experiment(CompleteFamily(), sizes=(100,))
+        assert counted_forks == []
+        self.experiment(RingFamily(0.3), sizes=(100,))
+        assert len(counted_forks) == 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("trials, blocks, n, points", [
+        (20, 2, 20, 8), (20, 2, 50, 8), (20, 3, 50, 8), (20, 2, 100, 8), (5, 3, 6, 5),
+        (7, 3, 2000, 3), (40, 8, 20, 7), (3, 8, 20, 40),
+    ])
+    def test_blocks_start_where_a_chunk_starts(self, trials, blocks, n, points):
+        got = concentration._trial_blocks(trials, blocks, n, points)
+        assert [t for block in got for t in block] == list(range(trials))
+        assert 1 <= len(got) <= blocks
+        assert all(block and block.start * points % concentration._chunk_records(n) == 0
+                   for block in got)
+        # The bench's sizes at 20 trials of 8 points split in two.
+        if (trials, points) == (20, 8) and blocks == 2:
+            assert len(got) == 2
+
+    def test_a_process_with_a_blas_pool_forks_nothing(self, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
+        monkeypatch.setattr(concentration, "runs_one_thread", lambda: False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a BLAS pool"))
+        self.experiment(CompleteFamily())
+
+    def test_a_caller_running_threads_gets_one_process(self, forks, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.table_bytes(self.experiment(CompleteFamily()))
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        got = []
+        caller = threading.Thread(target=lambda: got.append(self.experiment(CompleteFamily())))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [self.table_bytes(table) for table in got] == [want]
+        assert forks == []
+
+    @pytest.mark.parametrize("threads", ["2", "3", None])
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("scenario", [
+        # The second and third blocks of 2 or 3 are forked.
+        "quiet quiet warn2 quiet warn0 quiet",
+        "warn1 quiet quiet singular1 warn2 quiet",
+        "quiet quiet quiet warn0 rejected singular0",
+        "quiet quiet quiet quiet singular2 warn1",
+    ])
+    def test_events_come_in_serial_order(self, forks, monkeypatch, threads, complete,
+                                         scenario):
+        # As in TestSizeMeasurements.test_events_come_in_trial_then_grid_order:
+        # each trial's nodes are gain/(s - pole).
+        grid = FrequencyGrid.linear(0.5, 1.0, 3.0, 3)
+        kinds = {"quiet": (-1.0, 1.0), "rejected": None}
+        for p, s in enumerate(grid.points):
+            kinds[f"warn{p}"], kinds[f"singular{p}"] = (s - 1e-10, 1e4), (s, 1.0)
+        plan = [kinds[word] for word in scenario.split()]
+        n = 5
+
+        def draw(trial):
+            if plan[trial] is None:
+                RationalTF([1.0] * 66, [1.0])  # degree 65: ExcessiveDegree
+            pole, gain = plan[trial]
+            return np.array([[gain, 0.0]] * n), np.array([[-pole, 1.0]] * n)
+
+        _draw_fixed(monkeypatch, draw)
+        family = CompleteFamily() if complete else RingFamily(0.5)
+
+        def run():
+            table = concentration_experiment(gain_over_integrator(), family, [n], grid,
+                                             len(plan), 0.1, 3)
+            return np.frombuffer(self.table_bytes(table))
+
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = _events(run)
+        assert forks == []
+        self.set_threads(monkeypatch, threads)
+        assert _events(run) == want
+        assert all(filename == __file__ for _, filename in want[1])
+        assert len(forks) == min(concentration.thread_count(), len(plan)) - 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "kill", "cut"])
+    def test_a_failing_worker_s_blocks_are_measured_here(self, forks, monkeypatch, failure):
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.table_bytes(self.experiment(CompleteFamily(), trials=6))
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        measure, parent = concentration._size_measurements, os.getpid()
+        redone, cut = [], []
+        write = os.write
+
+        def cutting_write(fd, data):
+            # A worker whose block is cut sends half its payload and dies.
+            if cut and len(data) > 8:
+                write(fd, data[:len(data) // 2])
+                os._exit(1)
+            return write(fd, data)
+
+        def failing_measure(model, n, graph, points, f_vals, ghats, seed, trials):
+            # The third worker measures the last block of each size.
+            if trials == range(4, 6):
+                if os.getpid() == parent:
+                    redone.append(n)
+                elif n == 12:
+                    if failure == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    if failure == "raise":
+                        raise MemoryError
+                    cut.append(n)
+            return measure(model, n, graph, points, f_vals, ghats, seed, trials)
+
+        monkeypatch.setattr(concentration, "_size_measurements", failing_measure)
+        monkeypatch.setattr(os, "write", cutting_write)
+        assert self.table_bytes(self.experiment(CompleteFamily(), trials=6)) == want
+        # A dead worker's later block is measured here too.
+        assert redone == ([12] if failure == "raise" else [12, 25])
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_numpy_warnings_keep_their_place_among_the_chunks(self, forks, monkeypatch,
+                                                              threads):
+        # A chunk holds two trials of three points.  Trial 3's nodes overflow
+        # as they are evaluated (numpy's RuntimeWarnings), before the chunk
+        # of trials 2 and 3 is measured and warns that trial 2's point is
+        # ill-conditioned; no block may start at trial 3.
+        n = 5
+        monkeypatch.setattr(concentration, "_KRYLOV_BYTES",
+                            6 * 16 * n * (2 * _LANCZOS_MAX_STEPS + 1))
+        grid = FrequencyGrid.linear(0.5, 1.0, 3.0, 3)
+        quiet = np.array([[1.0, 0.0]] * n), np.array([[1.0, 1.0]] * n)
+        warn = np.array([[1e4, 0.0]] * n), np.array([[1e-10 - grid.points[1], 1.0]] * n)
+        overflow = np.array([[1e308, 1e308]] * n), np.array([[1.0, 1.0]] * n)
+        plan = [quiet, quiet, warn, overflow, quiet, quiet]
+        _draw_fixed(monkeypatch, lambda trial: plan[trial])
+
+        def run():
+            return self.table_bytes(concentration_experiment(
+                gain_over_integrator(), CompleteFamily(), [n], grid, len(plan), 0.1, 3))
+
+        def events():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outcome = run()
+                except (ValidationError, NumericalError) as exc:
+                    outcome = type(exc), str(exc)
+            return outcome, [(w.category, str(w.message), w.filename) for w in caught]
+
+        def first_error():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises((Warning, ValidationError, NumericalError)) as raised:
+                    run()
+            return type(raised.value), str(raised.value)
+
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want, want_first = events(), first_error()
+        categories = [category for category, _, _ in want[1]]
+        assert categories.index(RuntimeWarning) < categories.index(IllConditionedWarning)
+        assert want_first[0] is RuntimeWarning
+        assert forks == []
+        monkeypatch.setenv("COHERELAB_THREADS", threads)
+        assert events() == want
+        assert first_error() == want_first
+        assert len(forks) == 2 * (int(threads) - 1)
+        self.assert_no_child_left()
+
+    def test_an_error_here_ends_every_worker(self, forks, monkeypatch):
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        measure, parent = concentration._size_measurements, os.getpid()
+
+        def failing_measure(*args):
+            if os.getpid() == parent and args[1] == 12:
+                raise SingularSystem(0.5 + 1j)
+            return measure(*args)
+
+        monkeypatch.setattr(concentration, "_size_measurements", failing_measure)
+        with pytest.raises(SingularSystem):
+            self.experiment(CompleteFamily(), trials=6)
+        assert len(forks) == 2
+        self.assert_no_child_left()
 
 
 class TestConsensusOracles:
