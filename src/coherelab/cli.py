@@ -11,11 +11,11 @@ preconditions), output that could not be written or a stdout closed
 before the output was written, 2 numerical failure.
 Identical arguments, files, and seeds produce byte-identical output under
 one BLAS thread setting; the ``COHERELAB_THREADS`` environment variable
-caps the worker threads of ``sweep`` (one grid point each) and
-``converge`` (one multiplier each) and, on Linux, the forked processes
-that format ``simulate``'s rows (one block of rows each) and measure
-``concentrate``'s trials (one block of trials of each size, where no BLAS
-pool runs), 0 = automatic; no other command uses them.
+caps, on Linux, the forked processes that compute ``sweep``'s grid points,
+``converge``'s multipliers and ``concentrate``'s trials (one block of
+trials of each size), where the work is large and no BLAS pool runs, and
+that format ``simulate``'s rows (one block of rows each), 0 = automatic;
+no other command uses them.
 """
 
 from __future__ import annotations
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         try:
             with fh:
                 write(fh)
-        except OSError as exc:  # a full disk, or a CSV formatter that died mid-block
+        except OSError as exc:  # a full disk, say
             if os.path.isfile(args.out):
                 os.unlink(args.out)
             print(f"coherelab: error: cannot write {args.out}: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
+from ._parallel import blas_workers, forked_in_order, point_work
 from .errors import NumericalError, ValidationError, IllConditionedWarning, GridRefinementWarning
 from .network import LaplacianMatrix, algebraic_connectivity
 from .rational import (
@@ -1137,10 +1137,13 @@ def sweep(
     clean = [pt for pt, pole_f in records if not pole_f]
     m1, m2 = _envelopes(clean, margin) if with_bounds else (None, None)
     lam2 = algebraic_connectivity(net.laplacian)  # once, not in each worker
-    reports = map_ordered(
+    reports: list[CoherenceReport] = []
+    forked_in_order(
+        records,
+        blas_workers(len(records) * point_work(net.n)),
         lambda rec: _point_report(net, lam2, *rec, m1, m2, tol_classify=tol_classify,
                                   keep_transfer=False),
-        records,
+        lambda rec, report: reports.append(report),
     )
     return SweepResult(grid=grid, reports=tuple(reports), m1=m1, m2=m2)
 
@@ -1235,9 +1238,11 @@ def convergence_study(
                 bound = None
         return ConvergenceRow(alpha, value, bound, kind), cond
 
-    # Warned here, not in ``one``: a warning raised in a pool thread would
-    # be attributed to concurrent.futures.
-    results = map_ordered(one, alphas)
+    # Warned once every multiplier is solved, so that a multiplier that
+    # fails raises before any warning.
+    results: list[tuple[ConvergenceRow, float]] = []
+    forked_in_order(alphas, blas_workers(len(alphas) * point_work(net.n)), one,
+                    lambda alpha, result: results.append(result))
     for _, cond in results:
         _warn_ill_conditioned(pt, cond)
     return [row for row, _ in results]

@@ -17,12 +17,13 @@ all trials of a network size together: it derives the node substreams of
 many trials in one vectorized pass, as ``sample_nodes`` derives those of
 one draw set, bit for bit numpy's ``SeedSequence``/``PCG64``
 (``_streams.unit_tables``).  Above a fixed amount of work
-(``_FORK_WORK``), in a process whose BLAS runs one thread, the trials of
-each size are split into up to ``COHERELAB_THREADS`` contiguous blocks,
-run on forked workers (``_parallel.forked_in_order``) with the bytes,
-warnings and errors of one process.  The draws are kept as padded coefficient tables, no
-``RationalTF`` is built, and each trial's nodes are evaluated at many
-grid points in one pass.  The (trial, grid point) records are taken in
+(``_parallel.blas_workers``), in a process whose BLAS runs one thread,
+the trials of each size are split into up to ``COHERELAB_THREADS``
+contiguous blocks, run on forked workers (``_parallel.forked_in_order``)
+with the bytes, warnings and errors of one process.  The draws are kept
+as padded coefficient tables, no ``RationalTF`` is built, and each
+trial's nodes are evaluated at many grid points in one pass.  The
+(trial, grid point) records are taken in
 chunks sized by a fixed memory budget that run on across trials, and the
 experiment reports the first point that fails, in trial then grid order,
 after warning about every ill-conditioned point before it: the events of
@@ -37,14 +38,13 @@ each point is solved and normed densely in turn.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ._parallel import forked_in_order, runs_one_thread, thread_count
+from ._parallel import blas_workers, forked_in_order, point_work
 from ._streams import check_int, substream, unit_table, unit_tables
 from .errors import ValidationError
 from .coherence import (
@@ -494,27 +494,6 @@ def _inverse_gain_envelope(model: RandomTFModel, points: np.ndarray) -> float | 
 # times as long as under 8 MiB.  The budget is per process: each forked
 # worker of ``concentration_experiment`` holds a chunk of its own.
 _KRYLOV_BYTES = 1 << 21
-# Work, summed over the (trial, grid point) records of all sizes, above
-# which the trials of each size are split among forked workers.  A record
-# counts ``_record_work(n)``.  The workers are forked only where no BLAS pool
-# runs (``_parallel.runs_one_thread``): each would start one of its own, and
-# the pools would share the cores.  On a 2-core x86 VM, BLAS on one thread,
-# two workers against one process (medians of 7 calls, 8 grid points): the
-# complete family at n = 20 took 19.8 -> 25.3 ms over 20 trials (work
-# 3,200) and 53 -> 38 ms over 40 (work 6,400); a ring at n = 50 took
-# 25 -> 28 ms over 5 trials and at n = 100 133 -> 86 ms over 5.  The split
-# pays from some 30 ms of one process's time.
-_FORK_WORK = 1 << 13
-
-
-def _record_work(n: int, complete: bool) -> int:
-    """The work counted for one record at ``n`` nodes: ``n`` on the
-    complete family, whose record costs O(n), and ``n**2 / 16`` on a dense
-    Laplacian, whose record (an n x n solve and norm) took 1.2 to 45 times
-    a complete record's time at n = 20 to 400 in the runs above."""
-    return n if complete else max(n, n * n // 16)
-
-
 def _trial_blocks(trials: int, blocks: int, n: int, points: int) -> list[range]:
     """``range(trials)`` cut into up to ``blocks`` contiguous, nearly equal
     blocks of trials of ``points`` records at ``n`` nodes.  Each block
@@ -764,17 +743,17 @@ def concentration_experiment(
     size are measured in contiguous blocks (``_size_measurements``): their
     substreams in one pass and, on a ``CompleteFamily``, their points
     normed in batches that span trials, with the values, warnings and
-    errors of running them one after another.  Where the work of all
-    records (``_record_work``) exceeds ``_FORK_WORK`` and this process
-    runs no BLAS pool or other thread (``_parallel.runs_one_thread``), each
-    size takes up to ``min(_parallel.thread_count(), trials)`` blocks
+    errors of running them one after another.  Where
+    ``_parallel.blas_workers`` gives more than one worker for the work of
+    all records (``_parallel.point_work`` each, dense on a Laplacian),
+    each size takes up to that many blocks, at most ``trials``
     (``_trial_blocks``), which ``_parallel.forked_in_order`` deals to
     forked workers.  A block starts where one block of all trials would
-    start a chunk afresh, and a block that warns or fails in a worker, or
-    whose worker dies, is measured again in this process, in order; so
-    every warning, the frame it points at and the first error are those
-    of one block of all trials.  Below the cutoff one process measures
-    each size as one block.  Static unit coupling is the default.
+    start a chunk afresh, and the helper measures again in this process,
+    in order, a block that warns or fails in a worker; so every warning,
+    the frame it points at and the first error are those of one block of
+    all trials.  Otherwise one process measures each size as one block.
+    Static unit coupling is the default.
     """
     sizes = [check_int(n, "network size") for n in sizes]
     if not sizes:
@@ -789,7 +768,9 @@ def concentration_experiment(
     if not epsilon > 0:
         raise ValidationError(f"threshold epsilon must be positive, got {epsilon}")
     root = model.seed if seed is None else _check_seed(seed)
-    workers = thread_count()
+    complete = isinstance(graph_family, CompleteFamily)
+    work = trials * grid.omegas.size * sum(point_work(n, dense=not complete) for n in sizes)
+    blocks = min(blas_workers(work), trials)
     if coupling is None:
         coupling = RationalTF([1.0], [1.0])
     if expected is None:
@@ -807,57 +788,34 @@ def concentration_experiment(
     coupling = simplify(coupling)
     f_vals = [tf_eval(coupling, s, tol_zero=DEFAULT_TOL_ZERO) for s in points]
 
-    complete = isinstance(graph_family, CompleteFamily)
-    work = trials * len(points) * sum(_record_work(n, complete) for n in sizes)
-    blocks = min(workers, trials) if work > _FORK_WORK and runs_one_thread() else 1
     units = [(n, block) for n in sizes for block in _trial_blocks(trials, blocks, n, len(points))]
     lam2s: dict = {}
     columns = {n: ([], [], []) for n in sizes}
 
-    def graph_of(n: int) -> CompleteFamily | LaplacianMatrix:
-        return graph_family if complete else graph_family.build(n)
-
-    def measure(n: int, graph, block: range) -> tuple[list, list, list]:
-        return _size_measurements(model, n, graph, points, f_vals, ghat_vals, root, block)
-
-    def connectivity(n: int, graph) -> None:
-        """A size's lambda2, found before the events of its trials."""
-        if complete:
-            lam2s[n] = float(graph_family.weight * n)
-            if not math.isfinite(lam2s[n]):  # as complete_graph refuses it
-                raise ValidationError("Laplacian entries must be finite")
-        else:
-            lam2s[n] = algebraic_connectivity(graph)
-
-    def produce(unit) -> bytes | None:
-        # A unit that warns or fails is redone here, where its events come in order.
+    def measure(unit) -> tuple[float | None, tuple[list, list, list]]:
+        """A block's three columns and, where it starts at trial 0, its
+        size's lambda2, found before the events of its trials."""
         n, block = unit
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            values = np.array(measure(n, graph_of(n), block), dtype=float)
-        return None if caught else values.tobytes()
-
-    def run_here(unit) -> None:
-        n, block = unit
-        graph = graph_of(n)
+        graph = graph_family if complete else graph_family.build(n)
+        lam2 = None
         if block.start == 0:
-            connectivity(n, graph)
-        for column, values in zip(columns[n], measure(n, graph, block)):
-            column.extend(values)
+            if complete:
+                lam2 = float(graph_family.weight * n)
+                if not math.isfinite(lam2):  # as complete_graph refuses it
+                    raise ValidationError("Laplacian entries must be finite")
+            else:
+                lam2 = algebraic_connectivity(graph)
+        return lam2, _size_measurements(model, n, graph, points, f_vals, ghat_vals, root, block)
 
-    def take(unit, chunks) -> None:
+    def take(unit, measured) -> None:
         n, block = unit
-        try:
-            payload = b"".join(chunks)
-        except ChildProcessError:  # the worker died before the whole block came
-            run_here(unit)
-            return
+        lam2, values = measured
         if block.start == 0:
-            connectivity(n, graph_of(n))
-        for column, taken in zip(columns[n], np.frombuffer(payload).reshape(3, -1).tolist()):
+            lam2s[n] = lam2
+        for column, taken in zip(columns[n], values):
             column.extend(taken)
 
-    forked_in_order(units, blocks, produce, take, run_here)
+    forked_in_order(units, blocks, measure, take)
     rows = []
     for n, (gbar_devs, inc_sups, max_invs) in columns.items():
         rows.append(

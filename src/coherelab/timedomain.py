@@ -540,16 +540,14 @@ def write_trajectory_csv(
     by a newline.
 
     The rows are cut into contiguous blocks of about ``_BLOCK_SAMPLES``
-    samples or more, which ``_parallel.forked_in_order`` deals in turn to
-    up to ``_parallel.thread_count()`` workers: this process formats and
-    writes its own blocks row by row, and copies each forked formatter's
-    block to ``stream`` in order as it comes through the pipe; the bytes
-    do not depend on the split.  The block of a formatter that fails, or
-    that dies before it sends the block, is formatted here; one that dies
-    while it sends the block raises ``ChildProcessError``, after the part
-    of the block that came is written.  A formatter
-    holds one block of text at most, and this process a row or a chunk of
-    a pipe.
+    samples or more, which ``_parallel.forked_in_order`` formats on up to
+    ``_parallel.thread_count()`` processes, this one and forked ones, and
+    which this process writes to ``stream`` in order, one whole block at a
+    time; the bytes do not depend on the split.  A block whose forked
+    formatter fails or dies is formatted here.  A forked formatter holds
+    one block of text at a time; this process holds up to about three: a
+    forked formatter's block as it came through the pipe and as text, and
+    ``stream``'s encoding of it.
     """
     _check_reference(traj, reference)
     rows = traj.times.size
@@ -557,16 +555,9 @@ def write_trajectory_csv(
     bounds = [rows * b // blocks for b in range(blocks + 1)]
     stream.write(_csv_header(traj, reference) + "\n")
 
-    def write_here(b: int) -> None:
-        for line in _csv_rows(traj, reference, bounds[b], bounds[b + 1]):
-            stream.write(line + "\n")
-
-    def format_block(b: int) -> bytes:
+    def format_block(b: int) -> str:
         lines = _csv_rows(traj, reference, bounds[b], bounds[b + 1])
-        return "".join([line + "\n" for line in lines]).encode("ascii")
+        return "".join([line + "\n" for line in lines])
 
-    def copy_block(b: int, chunks: Iterator[bytes]) -> None:
-        for chunk in chunks:
-            stream.write(chunk.decode("ascii"))
-
-    forked_in_order(range(blocks), thread_count(), format_block, copy_block, write_here)
+    forked_in_order(range(blocks), thread_count(), format_block,
+                    lambda b, text: stream.write(text))

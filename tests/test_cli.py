@@ -4,14 +4,13 @@ import collections
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 
 import coherelab
 from coherelab import NetworkModel, NumericalError, RationalTF, complete_graph
-from coherelab import aggregate, cli, coherence, concentration, rational, timedomain
+from coherelab import _parallel, aggregate, cli, coherence, concentration, rational, timedomain
 from coherelab.cli import main
 from coherelab.netfile import network_file_text
 
@@ -192,6 +191,53 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "coherelab: error: margin must be >= 1" in err
+
+
+class TestForkedPoints:
+    """``sweep``'s points and ``converge``'s multipliers at every worker count."""
+
+    ARGV = {
+        "sweep": ["--sigma", "0.5", "--omega-min", "0.1", "--omega-max", "2.0", "--points", "8"],
+        "converge": ["--sigma", "0.5", "--omega", "1.0", "--alphas", "16,1,4,2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_a_bad_thread_count_fails_before_the_file_is_created(self, capsys, netfile,
+                                                                 tmp_path, monkeypatch,
+                                                                 command):
+        # Below the fork cutoff, and beside a BLAS pool or not.
+        monkeypatch.setenv("COHERELAB_THREADS", "abc")
+        path = tmp_path / "out.csv"
+        for one_thread in (True, False):
+            monkeypatch.setattr(_parallel, "runs_one_thread", lambda: one_thread)
+            assert run(capsys, command, "--net", netfile(CONSENSUS_K4), *self.ARGV[command],
+                       "--out", str(path)) == (
+                1, "", "coherelab: error: COHERELAB_THREADS must be an integer, got 'abc'\n")
+            assert not path.exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_every_thread_count_writes_the_same_bytes(self, capsys, netfile, tmp_path,
+                                                      monkeypatch, command):
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        argv = [command, "--net", netfile(CONSENSUS_K4), *self.ARGV[command]]
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0 and not forked
+        for threads in ("2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("COHERELAB_THREADS")
+            else:
+                monkeypatch.setenv("COHERELAB_THREADS", threads)
+            path = tmp_path / f"out-{threads}.csv"
+            assert run(capsys, *argv) == (0, want, "")
+            assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == want.encode()
+        assert forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConverge:
@@ -395,14 +441,15 @@ class TestSimulate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_formatter_that_dies_mid_block_is_an_error_and_leaves_no_file(
-            self, capsys, netfile, tmp_path, monkeypatch):
+    def test_a_formatter_that_dies_mid_block_changes_no_byte(self, capsys, netfile, tmp_path,
+                                                             monkeypatch):
         argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "impulse",
                 "--t-end", "1.0", "--dt", "0.1"]
         code, want, _ = run(capsys, *argv)
         assert code == 0
         # Every row is a block; the forked formatter of the odd rows sends
-        # half of its first block and dies, after part of it is written.
+        # half of its first block and dies, and this process formats its
+        # blocks.
         monkeypatch.setenv("COHERELAB_THREADS", "2")
         monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
         write, parent = os.write, os.getpid()
@@ -414,15 +461,46 @@ class TestSimulate:
             return write(fd, data)
 
         monkeypatch.setattr(os, "write", dying_write)
-        failure = "a forked worker ended in the middle of a payload"
+        path = tmp_path / "traj.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+        assert run(capsys, *argv) == (0, want, "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_write_error_is_an_error_and_leaves_no_file(self, capsys, netfile, tmp_path,
+                                                          monkeypatch):
+        argv = ["simulate", "--net", netfile(SWING_LINE), "--input", "impulse",
+                "--t-end", "1.0", "--dt", "0.1"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        # Every row is a block; the output takes the header and two rows,
+        # then the disk is full.
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        monkeypatch.setattr(timedomain, "_BLOCK_SAMPLES", 1)
+        writer = timedomain.write_trajectory_csv
+
+        def filling_writer(traj, stream, reference=None):
+            class Full:
+                written = 0
+
+                def write(self, text):
+                    if self.written == 3:
+                        raise OSError(28, "No space left on device")
+                    self.written += 1
+                    return stream.write(text)
+
+            writer(traj, Full(), reference)
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", filling_writer)
+        failure = "[Errno 28] No space left on device"
         path = tmp_path / "traj.csv"
         assert run(capsys, *argv, "--out", str(path)) == (
             1, "", f"coherelab: error: cannot write {path}: {failure}\n")
         assert not path.exists()
         # On stdout the rows before the failure stay, then the error.
-        header, row0, row1 = want.splitlines(keepends=True)[:3]
         assert run(capsys, *argv) == (
-            1, header + row0 + row1[:len(row1) // 2],
+            1, "".join(want.splitlines(keepends=True)[:3]),
             f"coherelab: error: cannot write the output: {failure}\n")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -544,9 +622,9 @@ class TestConcentrate:
                                                       monkeypatch, family):
         # Every run forks where it has a block of trials to give away; a
         # chunk holds one record, so a block may start at any trial.
-        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
         monkeypatch.setattr(concentration, "_KRYLOV_BYTES", 1)
-        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
         forked, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
         argv = ["concentrate", "--model", netfile(KS_MODEL, "ks.model"), "--family", family,
@@ -638,22 +716,28 @@ class TestEigenSolverCalls:
     """Only the commands that read the Laplacian spectrum compute it, once."""
 
     @pytest.fixture
-    def eigen_calls(self, monkeypatch):
-        calls = []
+    def eigen_calls(self, monkeypatch, tmp_path):
+        """A function that lists the decompositions made so far, by this
+        process and by the workers it forked: each call appends its name
+        to a file, which a forked worker shares."""
+        log = tmp_path / "eigen_calls"
+        log.touch()
         for name in ("eigh", "eigvalsh"):
             def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                time.sleep(0.05)  # long enough for a second worker to ask too
+                with open(log, "a", encoding="ascii") as f:
+                    f.write(_name + "\n")
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        return calls
+        return lambda: log.read_text(encoding="ascii").split()
 
-    def test_a_threaded_sweep_decomposes_once(self, capsys, netfile, monkeypatch, eigen_calls):
+    def test_a_forked_sweep_decomposes_once(self, capsys, netfile, monkeypatch, eigen_calls):
         monkeypatch.setenv("COHERELAB_THREADS", "2")
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
         code, out, _ = run(capsys, "sweep", "--net", netfile(CONSENSUS_K4), "--sigma", "0.5",
                            "--omega-min", "0.1", "--omega-max", "2.0", "--points", "8")
         assert code == 0 and len(out.splitlines()) == 9
-        assert eigen_calls == ["eigh"]
+        assert eigen_calls() == ["eigh"]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--input", "step:0:1.0", "--t-end", "5.0"],
@@ -665,7 +749,7 @@ class TestEigenSolverCalls:
                                                           eigen_calls):
         code, out, _ = run(capsys, argv[0], "--net", netfile(SWING_LINE), *argv[1:])
         assert code == 0 and out
-        assert eigen_calls == []
+        assert eigen_calls() == []
 
 
 class TestExcessiveDegree:

@@ -1,13 +1,18 @@
 """Tests for the frequency-domain coherence engine."""
 
 import math
+import os
+import signal
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from coherelab import _parallel, coherence
 from coherelab.errors import GridRefinementWarning, IllConditionedWarning, ValidationError
+from coherelab.netfile import parse_network_text
 from coherelab.network import (
     complete_graph,
     grounded,
@@ -67,6 +72,7 @@ from conftest import (
     SPURIOUS_SYMBOLIC_POLE,
     biproper_mean_case,
     generic_probe_point,
+    positive_real_ring_text,
     random_connected_laplacian,
     random_first_order_tf,
     random_second_order_tf,
@@ -809,9 +815,9 @@ class TestConvergenceStudy:
         with pytest.raises(PoleOfCoupling):
             convergence_study(net, 0.0, [1, 2])
 
-    def test_ill_conditioned_solves_warn_in_multiplier_order(self, monkeypatch):
-        # Four multipliers on two threads: the rows are solved in the pool,
-        # the warnings come from the caller's thread.
+    def test_ill_conditioned_solves_warn_in_multiplier_order(self, forks, monkeypatch):
+        # Four multipliers on two workers: a forked worker solves two of
+        # them, and the warnings come from this process.
         monkeypatch.setenv("COHERELAB_THREADS", "2")
         with pytest.warns(IllConditionedWarning) as caught:
             rows = convergence_study(near_singular_ring(), NEAR_ORIGIN, [8, 1, 4, 2])
@@ -819,6 +825,128 @@ class TestConvergenceStudy:
         estimates = [float(str(w.message).rsplit(" ", 1)[1]) for w in caught]
         assert estimates == sorted(estimates)
         assert [r.alpha for r in rows] == [1.0, 2.0, 4.0, 8.0]
+        assert len(forks) == 1
+        assert_no_child_left()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every sweep and convergence study forks where it has points to give
+    away; the pids forked are listed."""
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
+    monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_threads(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("COHERELAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COHERELAB_THREADS", threads)
+
+
+class TestForkedPoints:
+    """``sweep``'s points and ``convergence_study``'s multipliers on forked
+    workers: the rows are those of one process."""
+
+    # (network, sweep grid, convergence probe point, multipliers): the
+    # golden 150-node ring's cases (test_sweep_golden.py) and
+    # test_thread_count_does_not_change_rows's network.
+    CASES = {
+        "ring150": (lambda: parse_network_text(positive_real_ring_text(
+                        np.random.default_rng(150), 150, 12, (10.0, 30.0))),
+                    FrequencyGrid.logarithmic(0.2, 0.05, 10.0, 12), 0.2 + 0.3j,
+                    [0.25, 1, 4, 16]),
+        "random23": (lambda: random_network(np.random.default_rng(23)),
+                     FrequencyGrid.logarithmic(0.1, 0.05, 20.0, 9), 0.9 + 0.4j,
+                     [1, 10, 100, 1000]),
+    }
+
+    @staticmethod
+    def rows(net, grid, s0, alphas):
+        return ([report_csv_row(r) for r in sweep(net, grid).reports],
+                repr(convergence_study(net, s0, alphas)))
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_are_those_of_one_process(self, forks, monkeypatch, case, threads):
+        build, grid, s0, alphas = self.CASES[case]
+        net = build()
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.rows(net, grid, s0, alphas)
+        assert forks == []
+        set_threads(monkeypatch, threads)
+        assert self.rows(net, grid, s0, alphas) == want
+        workers = _parallel.thread_count()
+        assert len(forks) == min(workers, grid.omegas.size) - 1 + min(workers, 4) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "warn", "kill"])
+    def test_a_failing_worker_s_points_are_computed_here(self, forks, monkeypatch, failure):
+        build, grid, s0, alphas = self.CASES["random23"]
+        net, points = build(), list(grid.points)
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.rows(net, grid, s0, alphas)[0]
+        monkeypatch.setenv("COHERELAB_THREADS", "2")
+        report, parent, here = coherence._point_report, os.getpid(), []
+
+        def failing_report(net, lam2, pt, *args, **kwargs):
+            # The forked worker computes the odd points and fails at point 3.
+            if os.getpid() == parent:
+                here.append(points.index(pt.s))
+            elif pt.s == points[3]:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if failure == "raise":
+                    raise MemoryError
+                warnings.warn("a forked worker's warning")
+            return report(net, lam2, pt, *args, **kwargs)
+
+        monkeypatch.setattr(coherence, "_point_report", failing_report)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [report_csv_row(r) for r in sweep(net, grid).reports] == want
+        # A dead worker's later points are computed here too.
+        assert here == ([0, 2, 3, 4, 6, 8] if failure != "kill" else [0, 2, 3, 4, 5, 6, 7, 8])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_caller_running_threads_forks_nothing(self, forks, monkeypatch):
+        build, grid, s0, alphas = self.CASES["random23"]
+        net = build()
+        monkeypatch.setenv("COHERELAB_THREADS", "1")
+        want = self.rows(net, grid, s0, alphas)
+        monkeypatch.setenv("COHERELAB_THREADS", "3")
+        got = []
+        caller = threading.Thread(target=lambda: got.append(self.rows(net, grid, s0, alphas)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert got == [want]
+        assert forks == []
+
+    @pytest.mark.parametrize("threads", ["2", "3", None])
+    def test_small_work_forks_nothing(self, monkeypatch, threads):
+        build, grid, s0, alphas = self.CASES["random23"]
+        set_threads(monkeypatch, threads)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the cutoff"))
+        self.rows(build(), grid, s0, alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from coherelab.concentration import (
     _draw_tables,
     _size_measurements,
 )
-from coherelab import concentration
+from coherelab import _parallel, concentration
 from coherelab.coherence import (
     _LANCZOS_MAX_STEPS,
     InverseGainOverflow,
@@ -1388,7 +1388,7 @@ class TestForkedTrials:
     @pytest.fixture
     def forks(self, counted_forks, monkeypatch):
         """Every experiment forks where it may; the pids forked are listed."""
-        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
         return counted_forks
 
     @pytest.fixture
@@ -1396,7 +1396,7 @@ class TestForkedTrials:
         """Experiments above the cutoff fork; the pids forked are listed.
         A chunk holds one record, so that a block may start at any trial."""
         monkeypatch.setattr(concentration, "_KRYLOV_BYTES", 1)
-        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
         forked = []
         fork = os.fork
 
@@ -1438,17 +1438,17 @@ class TestForkedTrials:
         assert forks == []
         self.set_threads(monkeypatch, threads)
         assert self.table_bytes(self.experiment(family)) == want
-        workers = min(concentration.thread_count(), 5)
+        workers = min(_parallel.thread_count(), 5)
         assert len(forks) == workers - 1
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["2", "3", None])
     def test_small_work_forks_nothing(self, monkeypatch, threads):
         self.set_threads(monkeypatch, threads)
-        monkeypatch.setattr(concentration, "runs_one_thread", lambda: True)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: True)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the cutoff"))
         # 5 trials x 5 points x 43 nodes is below the cutoff.
-        assert 5 * 5 * 43 <= concentration._FORK_WORK
+        assert 5 * 5 * 43 <= _parallel._FORK_WORK
         self.experiment(CompleteFamily())
 
     def test_a_dense_laplacian_s_records_count_more(self, counted_forks, monkeypatch):
@@ -1477,8 +1477,8 @@ class TestForkedTrials:
 
     def test_a_process_with_a_blas_pool_forks_nothing(self, monkeypatch):
         monkeypatch.setenv("COHERELAB_THREADS", "3")
-        monkeypatch.setattr(concentration, "_FORK_WORK", 0)
-        monkeypatch.setattr(concentration, "runs_one_thread", lambda: False)
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 0)
+        monkeypatch.setattr(_parallel, "runs_one_thread", lambda: False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a BLAS pool"))
         self.experiment(CompleteFamily())
 
@@ -1534,7 +1534,7 @@ class TestForkedTrials:
         self.set_threads(monkeypatch, threads)
         assert _events(run) == want
         assert all(filename == __file__ for _, filename in want[1])
-        assert len(forks) == min(concentration.thread_count(), len(plan)) - 1
+        assert len(forks) == min(_parallel.thread_count(), len(plan)) - 1
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["raise", "kill", "cut"])

@@ -472,7 +472,7 @@ class TestTrajectory:
         assert lines[1] == "0.0,1.0,3.0,9.0"
         assert lines[2] == "0.5,2.0,4.0,9.5"
 
-    def test_csv_writer_holds_a_few_rows_at_a_time(self):
+    def test_csv_writer_holds_a_block_at_a_time(self):
         rng = np.random.default_rng(4)
         traj = Trajectory(np.arange(1001) * 1e-3, rng.standard_normal((200, 1001)), "in")
         lines = trajectory_csv_lines(traj)
@@ -494,9 +494,11 @@ class TestTrajectory:
         finally:
             tracemalloc.stop()
         assert sink.digest.digest() == want
-        # The whole file is 1001 rows; the writer holds the time column as
-        # floats (about 8 rows' worth) and one row being formatted.
-        assert peak < 32 * row_bytes
+        # The whole file is 1001 rows in 12 blocks of 83 or 84 rows.  The
+        # writer holds a block's rows as they are joined into its text, or a
+        # forked formatter's block as it came and as text, and the sink
+        # encodes a block: about three blocks.
+        assert peak < 4 * 84 * row_bytes
 
     def test_csv_reference_grid_must_match(self):
         traj = Trajectory(np.array([0.0, 0.5]), np.ones((1, 2)), "in")
@@ -593,7 +595,7 @@ class TestParallelCsv:
             write_trajectory_csv(traj, out, ref)
         assert (out.getvalue(), forks) == ("", [])
 
-    # A row of the first block, or the first chunk copied from a pipe.
+    # The first block, formatted here, or a forked formatter's block.
     @pytest.mark.parametrize("failing_write", [2, 15])
     def test_a_broken_stream_leaves_no_child(self, forks, failing_write):
         traj, ref = self.trajectories(40, 3)
